@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -19,8 +20,8 @@ from .distance import program_distance
 from .forget import (forget_fast, forget_iterated, forget_with_trace,
                      is_q_forgettable)
 from .harness import CorpusSpec, generate_corpus, verify_sp
-from .ht_semantics import (SignatureLimitError, answer_sets, equivalent,
-                           ht_models, strongly_equivalent)
+from .ht_semantics import (SignatureLimitError, answer_sets_from_pairs,
+                           equivalent, ht_models, strongly_equivalent)
 from .normalform import normal_form
 from .parser_io import (ParseError, format_program, format_rule,
                         models_to_json, parse_program)
@@ -115,7 +116,7 @@ def _cmd_models(args) -> int:
     want_ht = args.ht or not args.answer
     want_as = args.answer or not args.ht
     pairs = ht_models(p, limit=args.limit)
-    ans = answer_sets(p, limit=args.limit) if want_as else frozenset()
+    ans = answer_sets_from_pairs(pairs.members) if want_as else frozenset()
     if args.json:
         payload = {"signature": sorted(pairs.sigma)}
         if want_ht:
@@ -306,11 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("equiv", _cmd_equiv, "decide strong equivalence of two programs")
     sp.add_argument("left", help="program file or -")
     sp.add_argument("right", help="program file or -")
-    mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--strong", action="store_true",
-                      help="same HT-models (default)")
-    mode.add_argument("--weak", action="store_true",
-                      help="same answer sets only")
+    sp.add_argument("--weak", action="store_true",
+                    help="same answer sets only")
     sp.add_argument("--signature", metavar="A,B,..",
                     help="extra atoms for the comparison signature")
 
@@ -362,7 +360,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe; point stdout at devnull so the flush
+        # at exit cannot fail again (Python docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         source = getattr(exc, "source", "<input>")
         print(f"aspforget: {source}:{exc}", file=sys.stderr)

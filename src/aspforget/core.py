@@ -62,11 +62,6 @@ class Literal:
         return "not " * self.depth + self.atom
 
 
-def pos(atoms: Iterable[str]) -> FrozenSet[Literal]:
-    """The atoms of a head or positive body, as plain literals."""
-    return frozenset(Literal(POS, a) for a in atoms)
-
-
 def naf(literals: Iterable[Literal | str]) -> FrozenSet[Literal]:
     """Apply ``not`` to every literal (atoms are taken at depth 0)."""
     return frozenset(_lift(l).negate() for l in literals)
@@ -107,9 +102,6 @@ class Rule:
     @property
     def is_constraint(self) -> bool:
         return not self.head
-
-    def head_without(self, q: str) -> FrozenSet[str]:
-        return self.head - {q}
 
     def body_without(self, q: str) -> FrozenSet[Literal]:
         """The body literal set with every occurrence of ``q`` dropped."""

@@ -111,7 +111,7 @@ def _derivations(part: Partition, q: str) -> List[TraceEntry]:
                      bq(r0) | bq(r3) | naf(hq(rp)) | nafnaf(bq(rp)),
                      r0, r3, rp)
             # 3a: the self-cycle fires through the consumer's own head.
-            for d in duals(part.r0 | part.r2 - {r0}):
+            for d in duals((part.r0 | part.r2) - {r0}):
                 for h in sorted(r0.head):
                     emit("3a", r0.head,
                          bq(r0) | {Literal(NAFNAF, h)} | d | bq(r3)
@@ -131,7 +131,7 @@ def _derivations(part: Partition, q: str) -> List[TraceEntry]:
                      | nafnaf(bq(r3) | bq(rp)),
                      r2, r3, rp)
             # 3b: the self-cycle fires through the consumer's own head.
-            for d in duals(part.r0 | part.r2 - {r2}):
+            for d in duals((part.r0 | part.r2) - {r2}):
                 for h in sorted(r2.head):
                     emit("3b", r2.head,
                          bq(r2) | naf(hq(r3))
@@ -155,7 +155,7 @@ def _derivations(part: Partition, q: str) -> List[TraceEntry]:
                              | nafnaf(bq(r) | bq(r3)) | d,
                              rp, r3, r)
             # 6: the self-cycle fires through this rule's own head.
-            for d in duals(part.r1 | part.r4 - {rp}):
+            for d in duals((part.r1 | part.r4) - {rp}):
                 for h in sorted(hq(rp)):
                     emit("6", hq(rp),
                          bq(rp) | naf(hq(r3))
@@ -165,7 +165,7 @@ def _derivations(part: Partition, q: str) -> List[TraceEntry]:
     for r0 in r0s:
         # 7: two distinct self-cycles feed a consumer.
         for r3, r3b in permutations(r3s, 2):
-            for d in duals(part.r0 | part.r2 - {r0}):
+            for d in duals((part.r0 | part.r2) - {r0}):
                 for h in sorted(r0.head):
                     emit("7", r0.head | hq(r3),
                          bq(r0) | bq(r3) | naf(hq(r3b))

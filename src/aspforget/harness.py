@@ -23,7 +23,7 @@ from .core import Program, Rule, rule
 from .forget import forget
 from .ht_semantics import answer_sets_from_pairs, check_signature, ht_models
 from .parser_io import parse_program
-from .semantic import satisfies_omega
+from .semantic import _candidates
 
 GOLDEN_TEXTS = {
     "chain_pos": """
@@ -218,9 +218,10 @@ def verify_sp(p: Program, q: str, depth: int = 1,
     check_signature(p.signature, limit if limit is not None
                     else DEFAULT_CONTEXT_LIMIT)
     f = forget(p, q) if result is None else result
-    omega, _ = satisfies_omega(p, {q})
     universe = p.signature | {q}
-    pairs_p = ht_models(p, universe).members
+    models_p = ht_models(p, universe)
+    omega = any(c.obstructs for c in _candidates(models_p, frozenset({q})))
+    pairs_p = models_p.members
     pairs_f = ht_models(f, universe).members
     failures = []
     contexts = _context_pairs(universe - {q}, universe, depth)

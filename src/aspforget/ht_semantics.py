@@ -12,7 +12,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import FrozenSet, Iterable, Iterator, NamedTuple, Optional
+from typing import (Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional,
+                    Set)
 
 from .core import Program, Rule
 
@@ -59,10 +60,6 @@ class HTModelSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def total(self) -> FrozenSet[FrozenSet[str]]:
-        """The interpretations y with <y,y> a model."""
-        return frozenset(m.y for m in self.members if m.x == m.y)
-
 
 def subsets(atoms: Iterable[str]) -> Iterator[FrozenSet[str]]:
     """All subsets, smallest first, alphabetical within a size."""
@@ -77,10 +74,6 @@ def satisfies(interp: FrozenSet[str], r: Rule) -> bool:
     body_holds = (r.pbody <= interp and not (r.nbody & interp)
                   and r.nnbody <= interp)
     return not body_holds or bool(r.head & interp)
-
-
-def is_model(interp: FrozenSet[str], p: Program) -> bool:
-    return all(satisfies(interp, r) for r in p.rules)
 
 
 def reduct(p: Program, interp: FrozenSet[str]) -> Program:
@@ -123,6 +116,15 @@ def answer_sets(p: Program, limit: Optional[int] = None
     return answer_sets_from_pairs(ht_models(p, limit=limit).members)
 
 
+def by_there(pairs: Iterable[HTInterpretation]
+             ) -> Dict[FrozenSet[str], Set[FrozenSet[str]]]:
+    """Index HT-pairs by their there-part: Y -> the set of X with <X,Y>."""
+    index: Dict[FrozenSet[str], Set[FrozenSet[str]]] = {}
+    for x, y in pairs:
+        index.setdefault(y, set()).add(x)
+    return index
+
+
 def answer_sets_from_pairs(pairs: Iterable[HTInterpretation]
                            ) -> FrozenSet[FrozenSet[str]]:
     """Extract answer sets from an HT-model set.
@@ -130,10 +132,7 @@ def answer_sets_from_pairs(pairs: Iterable[HTInterpretation]
     Since X <= Y in every pair, Y is an answer set exactly when the only
     pair with second component Y is <Y,Y>.
     """
-    by_y: dict = {}
-    for x, y in pairs:
-        by_y.setdefault(y, set()).add(x)
-    return frozenset(y for y, xs in by_y.items() if xs == {y})
+    return frozenset(y for y, xs in by_there(pairs).items() if xs == {y})
 
 
 def strongly_equivalent(p1: Program, p2: Program,

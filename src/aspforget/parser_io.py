@@ -121,13 +121,12 @@ class _Parser:
 
     def _literal(self) -> Literal:
         depth = 0
-        while depth < 2:
-            tok = self._peek()
-            if tok is not None and tok[0] == "atom" and tok[1] == "not":
-                self.pos += 1
-                depth += 1
-            else:
-                break
+        while self._peek() is not None and self._peek()[:2] == ("atom", "not"):
+            if depth == 2:
+                self._error("'not not not a' is not accepted; "
+                            "it collapses to 'not a', so write that")
+            self.pos += 1
+            depth += 1
         return Literal(depth, self._take_atom())
 
     def _rule(self) -> Rule:
@@ -173,10 +172,6 @@ def parse_rule(text: str) -> Rule:
     if len(program) != 1:
         raise ValueError(f"expected exactly one rule, got {len(program)}")
     return next(iter(program))
-
-
-def format_literal(l: Literal) -> str:
-    return str(l)
 
 
 def format_rule(r: Rule) -> str:

@@ -21,11 +21,11 @@ and deliberately performs no simplification, so its output is large.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .core import Program, Rule
-from .ht_semantics import (HTInterpretation, HTModelSet, check_signature,
-                           ht_models, subsets)
+from .ht_semantics import (HTInterpretation, HTModelSet, by_there,
+                           check_signature, ht_models, subsets)
 
 SetFamily = FrozenSet[FrozenSet[str]]
 
@@ -53,13 +53,6 @@ class OmegaReport:
     candidates: Tuple[OmegaCandidate, ...]
 
 
-def _pairs_by_total(ht: HTModelSet) -> Dict[FrozenSet[str], set]:
-    by_y: Dict[FrozenSet[str], set] = {}
-    for x, y in ht.members:
-        by_y.setdefault(y, set()).add(x)
-    return by_y
-
-
 def _rel(by_y, v_atoms, y) -> SetFamily:
     rel = []
     for a in subsets(v_atoms):
@@ -72,8 +65,20 @@ def _rel(by_y, v_atoms, y) -> SetFamily:
     return frozenset(rel)
 
 
-def _here_parts(by_y, ya, v) -> FrozenSet[str]:
-    return frozenset(x - v for x in by_y.get(ya, ()))
+def _candidates(ht: HTModelSet, v: FrozenSet[str]
+                ) -> Iterator[OmegaCandidate]:
+    """The evidence for each Y over the signature of ``ht`` minus ``v``,
+    smallest Y first."""
+    by_y = by_there(ht.members)
+    v_atoms = v & ht.sigma
+    for y in subsets(ht.sigma - v):
+        rel = _rel(by_y, v_atoms, y)
+        families = tuple((a, frozenset(x - v for x in by_y[y | a]))
+                         for a in sorted(rel, key=sorted))
+        distinct = {fam for _, fam in families}
+        has_least = any(all(m <= other for other in distinct)
+                        for m in distinct)
+        yield OmegaCandidate(y, rel, families, has_least)
 
 
 def rel_sets(p: Program, v: Iterable[str], y: Iterable[str],
@@ -84,7 +89,7 @@ def rel_sets(p: Program, v: Iterable[str], y: Iterable[str],
     ys = frozenset(y)
     if ys & vs:
         raise ValueError("y must be disjoint from the forgotten atoms")
-    by_y = _pairs_by_total(ht_models(p, limit=limit))
+    by_y = by_there(ht_models(p, limit=limit).members)
     return _rel(by_y, vs & p.signature, ys)
 
 
@@ -96,25 +101,11 @@ def satisfies_omega(p: Program, v: Iterable[str],
     candidate model sets without a least element.
     """
     vs = frozenset(v)
-    sigma2 = p.signature - vs
-    check_signature(sigma2, limit)
-    by_y = _pairs_by_total(ht_models(p, limit=limit))
-    v_atoms = vs & p.signature
-    candidates = []
-    witness = None
-    for y in subsets(sigma2):
-        rel = _rel(by_y, v_atoms, y)
-        families = tuple((a, _here_parts(by_y, y | a, vs))
-                         for a in sorted(rel, key=sorted))
-        distinct = {fam for _, fam in families}
-        has_least = any(all(m <= other for other in distinct)
-                        for m in distinct)
-        cand = OmegaCandidate(y, rel, families, has_least)
-        candidates.append(cand)
-        if cand.obstructs and witness is None:
-            witness = y
+    check_signature(p.signature - vs, limit)
+    candidates = tuple(_candidates(ht_models(p, limit=limit), vs))
+    witness = next((c.y for c in candidates if c.obstructs), None)
     return witness is not None, OmegaReport(witness is not None, witness,
-                                            tuple(candidates))
+                                            candidates)
 
 
 def fsp_target_models(p: Program, v: Iterable[str],
@@ -125,17 +116,11 @@ def fsp_target_models(p: Program, v: Iterable[str],
     vs = frozenset(v)
     sigma2 = p.signature - vs
     check_signature(sigma2, limit)
-    by_y = _pairs_by_total(ht_models(p, limit=limit))
-    v_atoms = vs & p.signature
     members = []
-    for y in subsets(sigma2):
-        rel = sorted(_rel(by_y, v_atoms, y), key=sorted)
-        if not rel:
-            continue
-        common = set(_here_parts(by_y, y | rel[0], vs))
-        for a in rel[1:]:
-            common &= _here_parts(by_y, y | a, vs)
-        members.extend(HTInterpretation(x, y) for x in common)
+    for c in _candidates(ht_models(p, limit=limit), vs):
+        if c.families:
+            common = frozenset.intersection(*(fam for _, fam in c.families))
+            members.extend(HTInterpretation(x, c.y) for x in common)
     return HTModelSet(sigma2, frozenset(members))
 
 
@@ -149,7 +134,7 @@ def f_sem(p: Program, v: Iterable[str],
     """
     target = fsp_target_models(p, v, limit=limit)
     sigma2 = target.sigma
-    by_y = _pairs_by_total(target)
+    by_y = by_there(target.members)
     rules = []
     for y in subsets(sigma2):
         havey = by_y.get(y, set())

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -238,6 +241,25 @@ def test_signature_guard_exit(lp, capsys):
     assert "(use --limit to accept the cost)" in err
     code, _, _ = run(capsys, "--limit", "14", "--quiet", "models", path)
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("forget", "--atom", "q"),                   # output fits the buffer
+    ("models", "--signature", "a,b,c,d,e,f,g"),  # output overflows it
+])
+def test_closed_stdout_pipe_exits_quietly(lp, argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "aspforget.cli", *argv, lp(CHAIN)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""  # no traceback, no "Exception ignored"
 
 
 def test_usage_error(capsys, lp):

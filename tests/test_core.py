@@ -5,8 +5,8 @@ from hypothesis import given
 
 from aspforget.core import (NAF, NAFNAF, POS, Literal, Program, Rule,
                             check_atom, find_subsumer, is_minimal_in,
-                            is_tautological, make_rule, naf, nafnaf, pos,
-                            rule, rule_key, signature, subsumes)
+                            is_tautological, make_rule, naf, nafnaf, rule,
+                            rule_key, signature, subsumes)
 from aspforget.parser_io import parse_program, parse_rule
 
 from .conftest import rules as rule_strategy
@@ -63,7 +63,6 @@ def test_make_rule_splits_body_forms():
 
 def test_rule_accessors():
     r = rule(["a", "q"], ["b"], ["q"], ["c"])
-    assert r.head_without("q") == frozenset({"a"})
     assert r.body_without("q") == frozenset({Literal(POS, "b"),
                                              Literal(NAFNAF, "c")})
     assert r.atoms == frozenset({"a", "b", "c", "q"})
@@ -141,7 +140,6 @@ def test_tautology_detection_matches_definition(r):
 
 
 def test_helper_literal_sets():
-    assert pos(["a"]) == {Literal(POS, "a")}
     assert naf(["a", Literal(POS, "b")]) == {Literal(NAF, "a"),
                                              Literal(NAF, "b")}
     assert nafnaf(["a"]) == {Literal(NAFNAF, "a")}

@@ -160,6 +160,17 @@ def test_plain_rules_keep_their_identity(prog):
     assert [e.rule for e in plain] == [parse_rule("a :- b.")]
 
 
+def test_consumer_never_blocks_itself(prog):
+    # 3a combines a consumer with blockers of the *other* consumers only, so
+    # on the stress family no raw rule is dropped by the final normal form
+    p = prog("".join(f"q | u{i} :- b{i}, not c{i}. t{i} :- q, d{i}. "
+                     for i in range(3)) + "v :- not q. q :- not not q, e.")
+    result, trace = forget_with_trace(p, "q")
+    assert len(trace) == 303
+    assert sum(e.tag == "3a" for e in trace) == 12
+    assert len(result) == 303
+
+
 # ---------------------------------------------------------------------------
 # q-forgettable and the fast path
 

@@ -7,6 +7,7 @@ from aspforget.forget import forget
 from aspforget.harness import (GOLDEN_PROGRAMS, CorpusSpec, SPReport,
                                enumerate_contexts, generate_corpus, verify_sp)
 from aspforget.ht_semantics import SignatureLimitError, answer_sets
+from aspforget.semantic import satisfies_omega
 
 
 def fs(*atoms):
@@ -154,3 +155,12 @@ def test_verify_sp_signature_guard():
     with pytest.raises(SignatureLimitError):
         verify_sp(big, "x0")
     assert verify_sp(big, "x0", depth=0, limit=8).ok
+
+
+def test_verify_sp_omega_matches_criterion(small_corpus):
+    # verify_sp reads the criterion over the signature widened by q; when q
+    # is outside the program that must agree with the plain signature
+    for p in small_corpus:
+        for prog in (p, p.widen({"q"})):
+            assert verify_sp(prog, "q", depth=0).omega \
+                == satisfies_omega(prog, {"q"})[0], prog

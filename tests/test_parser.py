@@ -59,6 +59,14 @@ def test_error_positions(text, line, col):
     assert (err.value.line, err.value.column) == (line, col)
 
 
+def test_triple_negation_asks_for_single():
+    with pytest.raises(ParseError) as err:
+        parse_program("a :- b. c :-\nnot not not d.")
+    assert (err.value.line, err.value.column) == (2, 9)
+    assert err.value.message == ("'not not not a' is not accepted; "
+                                 "it collapses to 'not a', so write that")
+
+
 def test_not_is_reserved():
     with pytest.raises(ParseError):
         parse_rule("not :- a.")
