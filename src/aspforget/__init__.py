@@ -11,8 +11,7 @@ and program distances, and a randomized verification harness.
 
 from .asdual import as_dual
 from .core import (Literal, NAF, NAFNAF, POS, Program, Rule, check_atom,
-                   find_subsumer, is_minimal_in, is_tautological, make_rule,
-                   naf, nafnaf, rule, signature, subsumes)
+                   is_tautological, make_rule, naf, nafnaf, rule, signature)
 from .distance import program_distance, rule_distance, rule_size
 from .forget import (Partition, TraceEntry, forget, forget_fast,
                      forget_iterated, forget_with_trace, is_q_forgettable,
@@ -32,16 +31,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorpusSpec", "GOLDEN_PROGRAMS", "HTInterpretation", "HTModelSet",
-    "Literal", "NAF", "NAFNAF", "OmegaCandidate", "OmegaReport",
-    "ParseError", "Partition", "POS", "Program", "Rule", "SPFailure",
-    "SPReport", "SignatureLimitError", "TraceEntry", "answer_sets",
-    "as_dual", "check_atom", "enumerate_contexts", "equivalent", "f_sem",
-    "find_subsumer", "forget", "forget_fast", "forget_iterated",
-    "forget_with_trace", "format_program", "format_rule",
-    "fsp_target_models", "generate_corpus", "ht_models", "is_minimal_in",
+    "Literal", "NAF", "NAFNAF", "OmegaCandidate", "OmegaReport", "ParseError",
+    "Partition", "POS", "Program", "Rule", "SPFailure", "SPReport",
+    "SignatureLimitError", "TraceEntry", "answer_sets", "as_dual",
+    "check_atom", "enumerate_contexts", "equivalent", "f_sem", "forget",
+    "forget_fast", "forget_iterated", "forget_with_trace", "format_program",
+    "format_rule", "fsp_target_models", "generate_corpus", "ht_models",
     "is_normal_form", "is_q_forgettable", "is_tautological", "make_rule",
     "models_to_json", "naf", "nafnaf", "normal_form", "parse_program",
     "parse_rule", "partition", "program_distance", "reduct", "rel_sets",
     "rule", "rule_distance", "rule_size", "satisfies_omega", "signature",
-    "strongly_equivalent", "subsumes", "v_exclusion", "verify_sp",
+    "strongly_equivalent", "v_exclusion", "verify_sp",
 ]

@@ -17,14 +17,14 @@ from typing import List, Optional
 
 from .core import Program, check_atom, rule_key
 from .distance import program_distance
-from .forget import (forget_fast, forget_iterated, forget_with_trace,
-                     is_q_forgettable)
+from .forget import (_require_q_forgettable, forget_iterated,
+                     forget_with_trace, is_q_forgettable)
 from .harness import CorpusSpec, generate_corpus, verify_sp
 from .ht_semantics import (SignatureLimitError, answer_sets_from_pairs,
                            equivalent, ht_models, strongly_equivalent)
 from .normalform import normal_form
-from .parser_io import (ParseError, format_program, format_rule,
-                        models_to_json, parse_program)
+from .parser_io import (ParseError, format_program, models_to_json,
+                        parse_program)
 from .semantic import f_sem, satisfies_omega
 
 
@@ -88,9 +88,9 @@ def _cmd_forget(args) -> int:
               "per step, not for the set", file=sys.stderr)
         result = forget_iterated(p, atoms)
         trace = ()
-    elif args.fast:
-        result, trace = forget_fast(p, atoms[0]), ()
     else:
+        if args.fast:
+            _require_q_forgettable(p, atoms[0])
         result, trace = forget_with_trace(p, atoms[0])
     if args.trace:
         for entry in sorted(trace, key=lambda e: (e.tag, rule_key(e.rule))):
@@ -288,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--atoms", metavar="Q1,Q2,..",
                    help="forget several atoms left to right")
     sp.add_argument("--fast", action="store_true",
-                    help="restricted construction (input must be forgettable)")
+                    help="refuse programs outside the q-forgettable class "
+                         "(exit 2); the result is that of plain forget")
     sp.add_argument("--trace", action="store_true",
                     help="print per-rule derivation provenance as comments")
     sp.add_argument("--check-oracle", action="store_true",

@@ -17,7 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, Tuple
 
 ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
@@ -144,23 +144,6 @@ def is_tautological(r: Rule) -> bool:
     positive body, or positively and under ``not``, or under ``not`` and
     ``not not``."""
     return bool(r.head & r.pbody or r.pbody & r.nbody or r.nbody & r.nnbody)
-
-
-def subsumes(r1: Rule, r2: Rule) -> bool:
-    """True iff r1 strictly subsumes r2: head and body of r1 are contained
-    in those of r2, and the rules differ."""
-    return r1 != r2 and r1.head <= r2.head and r1.body <= r2.body
-
-
-def find_subsumer(r: Rule, rules: Iterable[Rule]) -> Optional[Rule]:
-    """A witness rule strictly subsuming ``r``, or None; deterministic."""
-    hits = [r2 for r2 in rules if subsumes(r2, r)]
-    return min(hits, key=rule_key) if hits else None
-
-
-def is_minimal_in(r: Rule, program: "Program | Iterable[Rule]") -> bool:
-    """True iff no rule of the collection strictly subsumes ``r``."""
-    return find_subsumer(r, program) is None
 
 
 class Program:

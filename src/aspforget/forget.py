@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
 from .asdual import as_dual
 from .core import (Literal, NAFNAF, POS, Program, Rule, make_rule, naf,
@@ -58,6 +58,11 @@ def partition(p: Program, q: str) -> Partition:
     """Split a normal-form program; raises ValueError on non-normal input."""
     if not is_normal_form(p):
         raise ValueError("partition requires a program in normal form")
+    return _split(p, q)
+
+
+def _split(p: Program, q: str) -> Partition:
+    """Bucket the rules of ``p``, which the caller guarantees is normal."""
     buckets: dict = {k: [] for k in ("plain", "r0", "r1", "r2", "r3", "r4")}
     for r in p.rules:
         if q not in r.atoms:
@@ -181,7 +186,7 @@ def forget_with_trace(p: Program, q: str) -> Tuple[Program, Tuple[TraceEntry, ..
     pre-normalization rule has at least one entry; the final program is the
     normal form of those rules over the signature without ``q``.
     """
-    part = partition(normal_form(p), q)
+    part = _split(normal_form(p), q)
     entries = tuple(_derivations(part, q))
     raw = Program((e.rule for e in entries), signature=p.signature - {q})
     return normal_form(raw), entries
@@ -208,30 +213,27 @@ def forget_iterated(p: Program, atoms: Iterable[str]) -> Program:
 def is_q_forgettable(p: Program, q: str) -> bool:
     """True iff forgetting ``q`` needs only the cheap derivation families.
 
-    Checked on the normal form: either every rule mentioning q is a
-    self-cycle, or the fact ``q.`` is present, or there is no self-cycle
-    on q at all.
+    Read from the buckets of the normal form: either every rule mentioning
+    q is a self-cycle, or the fact ``q.`` is present, or there is no
+    self-cycle on q at all.  The fact needs no test of its own: it
+    subsumes every other rule with q in the head, so the normal form then
+    has no self-cycle.
     """
-    pn = normal_form(p)
-    mentioning = [r for r in pn.rules if q in r.atoms]
-    cycles = [r for r in mentioning if q in r.head and q in r.nnbody]
-    if len(cycles) == len(mentioning):
-        return True
-    if any(r.head == frozenset({q}) and not r.body for r in pn.rules):
-        return True
-    return not cycles
+    part = _split(normal_form(p), q)
+    return not part.r3 or not (part.r0 or part.r1 or part.r2 or part.r4)
 
 
 def forget_fast(p: Program, q: str) -> Program:
-    """Forget ``q`` using only the pass-through and families 1a, 1b and 4.
+    """:func:`forget`, refused unless :func:`is_q_forgettable` holds.
 
-    Only valid when :func:`is_q_forgettable` holds; the result is then
-    strongly equivalent to :func:`forget`.
+    On that class only the pass-through and families 1a, 1b and 4 can
+    emit rules, since every other family pairs a self-cycle with a
+    consumer or a producer, so the result is exactly :func:`forget`'s.
     """
+    _require_q_forgettable(p, q)
+    return forget(p, q)
+
+
+def _require_q_forgettable(p: Program, q: str) -> None:
     if not is_q_forgettable(p, q):
         raise ValueError(f"program is not {q}-forgettable; use forget()")
-    part = partition(normal_form(p), q)
-    entries = [e for e in _derivations(part, q)
-               if e.tag in ("plain", "1a", "1b", "4")]
-    raw = Program((e.rule for e in entries), signature=p.signature - {q})
-    return normal_form(raw)

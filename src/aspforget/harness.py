@@ -15,9 +15,9 @@ so each context costs one set intersection instead of a fresh enumeration.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 from .core import Program, Rule, rule
 from .forget import forget
@@ -206,6 +206,20 @@ def _context_pairs(sigma_ctx: FrozenSet[str], universe: FrozenSet[str],
                  for ctx in enumerate_contexts(sigma_ctx, depth))
 
 
+def _contexts(sigma_ctx: FrozenSet[str], universe: FrozenSet[str],
+              depth: int) -> Iterator[Tuple[Program, FrozenSet]]:
+    """The contexts of :func:`enumerate_contexts` with their HT-models, in
+    its order.  Depth 0 and 1 come from the cached tables; a depth-2 pair
+    is the intersection of its two single-rule tables, built on the fly."""
+    tables = _context_pairs(sigma_ctx, universe, 1 if depth == 2 else depth)
+    yield from tables
+    if depth == 2:
+        singles = tables[1 << len(sigma_ctx):]
+        for i, (c1, m1) in enumerate(singles):
+            for c2, m2 in singles[i + 1:]:
+                yield Program(c1.rules | c2.rules), m1 & m2
+
+
 def verify_sp(p: Program, q: str, depth: int = 1,
               limit: Optional[int] = None,
               result: Optional[Program] = None) -> SPReport:
@@ -224,12 +238,13 @@ def verify_sp(p: Program, q: str, depth: int = 1,
     pairs_p = models_p.members
     pairs_f = ht_models(f, universe).members
     failures = []
-    contexts = _context_pairs(universe - {q}, universe, depth)
-    for ctx, pairs_ctx in contexts:
+    checked = 0
+    for ctx, pairs_ctx in _contexts(universe - {q}, universe, depth):
+        checked += 1
         expected = frozenset(s - {q} for s in
                              answer_sets_from_pairs(pairs_p & pairs_ctx))
         actual = answer_sets_from_pairs(pairs_f & pairs_ctx)
         ok = expected <= actual if omega else expected == actual
         if not ok:
             failures.append(SPFailure(ctx, expected, actual))
-    return SPReport(p, q, omega, len(contexts), tuple(failures))
+    return SPReport(p, q, omega, checked, tuple(failures))

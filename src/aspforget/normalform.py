@@ -37,9 +37,7 @@ def normal_form(p: Program) -> Program:
     kept = [r for r in p.rules if not is_tautological(r)]
     rewritten = [Rule(r.head - r.nbody, r.pbody, r.nbody, r.nnbody - r.pbody)
                  for r in kept]
-    result = Program(_minimal_rules(rewritten), signature=p.signature)
-    assert is_normal_form(result)
-    return result
+    return Program(_minimal_rules(rewritten), signature=p.signature)
 
 
 def _minimal_rules(rules: Iterable[Rule]) -> List[Rule]:

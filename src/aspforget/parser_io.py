@@ -19,10 +19,9 @@ injective on programs and ``parse(print(P)) == P``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Tuple, Union
 
-from .core import ATOM_RE, Literal, Program, Rule, rule_key
+from .core import ATOM_RE, Literal, Program, Rule, make_rule
 from .ht_semantics import HTModelSet
 
 
@@ -149,10 +148,7 @@ class _Parser:
         elif not head and (tok is None or tok[1] != "."):
             self._error("expected a rule")
         self._take_punct(".")
-        parts = (set(), set(), set())
-        for l in body:
-            parts[l.depth].add(l.atom)
-        return Rule(frozenset(head), *(frozenset(p) for p in parts))
+        return make_rule(head, body)
 
     def program(self) -> Program:
         rules = []

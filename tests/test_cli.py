@@ -67,6 +67,21 @@ def test_forget_trace(lp, capsys):
                    "a :- not not a.\n")
 
 
+def test_forget_fast_trace_prints_the_trace(lp, capsys):
+    path = lp(CHAIN)
+    full = run(capsys, "forget", "--atom", "q", "--trace", path)
+    fast = run(capsys, "forget", "--atom", "q", "--fast", "--trace", path)
+    assert fast == full
+    assert full[1].startswith("% 1a: t :- s.")
+
+
+def test_forget_fast_refuses_hard_instance(lp, capsys):
+    code, out, err = run(capsys, "forget", "--atom", "q", "--fast",
+                         "--trace", lp(SELF_CYCLE))
+    assert (code, out) == (2, "")
+    assert err == "aspforget: program is not q-forgettable; use forget()\n"
+
+
 def test_forget_check_oracle(lp, capsys):
     code, out, err = run(capsys, "forget", "--atom", "q", "--check-oracle",
                          lp(CHAIN))

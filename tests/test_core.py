@@ -1,12 +1,11 @@
-"""Structural layer: literals, rules, programs, subsumption."""
+"""Structural layer: literals, rules, programs."""
 
 import pytest
 from hypothesis import given
 
 from aspforget.core import (NAF, NAFNAF, POS, Literal, Program, Rule,
-                            check_atom, find_subsumer, is_minimal_in,
-                            is_tautological, make_rule, naf, nafnaf, rule,
-                            rule_key, signature, subsumes)
+                            check_atom, is_tautological, make_rule, naf,
+                            nafnaf, rule, rule_key, signature)
 from aspforget.parser_io import parse_program, parse_rule
 
 from .conftest import rules as rule_strategy
@@ -82,30 +81,6 @@ def test_tautology_cases(prog):
     assert is_tautological(parse_rule("a :- b, not b."))
     assert is_tautological(parse_rule("a :- not b, not not b."))
     assert not is_tautological(parse_rule("t :- q."))
-
-
-def test_minimality_examples(prog):
-    p = prog("a :- b. a :- b, c.")
-    assert not is_minimal_in(parse_rule("a :- b, c."), p)
-    assert is_minimal_in(parse_rule("a :- b."), p)
-    # different body forms do not subsume each other
-    p2 = prog("a :- not b. a :- b.")
-    assert is_minimal_in(parse_rule("a :- b."), p2)
-
-
-def test_non_minimal_rule_has_producible_witness(prog):
-    p = prog("a :- b. a | c :- b, not d.")
-    loser = parse_rule("a | c :- b, not d.")
-    witness = find_subsumer(loser, p)
-    assert witness == parse_rule("a :- b.")
-    assert subsumes(witness, loser)
-
-
-def test_subsumption_is_strict():
-    r = parse_rule("a :- b.")
-    assert not subsumes(r, r)
-    assert subsumes(parse_rule("a :- b."), parse_rule("a | c :- b."))
-    assert not subsumes(parse_rule("a | c :- b."), parse_rule("a :- b."))
 
 
 def test_program_union_and_equality(prog):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
+from aspforget import normalform
 from aspforget.core import Program
 from aspforget.forget import (Partition, forget, forget_fast, forget_iterated,
                               forget_with_trace, is_q_forgettable, partition)
@@ -187,14 +188,14 @@ def test_forgettable_via_fact(prog):
     assert is_q_forgettable(prog("q. q :- not not q. a :- q."), "q")
 
 
-def test_fast_path_matches_full_operator(golden):
-    for name in ("chain_pos", "disjunctive_producer", "positive_link",
-                 "fact_blocker", "three_cycle", "horn_loop"):
-        p = golden[name]
-        if not is_q_forgettable(p, "q"):
-            continue
-        assert forget_fast(p, "q") == forget(p, "q") or \
-            strongly_equivalent(forget_fast(p, "q"), forget(p, "q"))
+def test_fast_path_matches_full_operator(golden, small_corpus):
+    checked = 0
+    for p in list(golden.values()) + small_corpus:
+        for q in ("q", "a"):
+            if is_q_forgettable(p, q):
+                assert forget_fast(p, q) == forget(p, q)
+                checked += 1
+    assert checked > 200
 
 
 def test_fast_path_rejects_hard_instance(golden):
@@ -228,7 +229,24 @@ def test_oracle_equivalence_random(p):
 @given(program_strategy)
 @settings(max_examples=40, deadline=None)
 def test_q_freeness_random(p):
-    assert "q" not in forget(p, "q").signature
+    result = forget(p, "q")
+    assert "q" not in result.signature
+    assert is_normal_form(result)
+
+
+def test_forget_minimizes_twice(golden, monkeypatch):
+    # once for the input's normal form and once for the result's; nothing
+    # downstream re-checks the normal form
+    calls = []
+    minimal_rules = normalform._minimal_rules
+
+    def counting(rules):
+        calls.append(1)
+        return minimal_rules(rules)
+
+    monkeypatch.setattr(normalform, "_minimal_rules", counting)
+    forget(golden["disjunctive_mixed"], "q")
+    assert len(calls) == 2
 
 
 def test_equivalence_preserved_by_forgetting(prog):

@@ -4,9 +4,11 @@ import pytest
 
 from aspforget.core import Program, rule
 from aspforget.forget import forget
-from aspforget.harness import (GOLDEN_PROGRAMS, CorpusSpec, SPReport,
-                               enumerate_contexts, generate_corpus, verify_sp)
-from aspforget.ht_semantics import SignatureLimitError, answer_sets
+from aspforget.harness import (GOLDEN_PROGRAMS, CorpusSpec, SPFailure,
+                               SPReport, enumerate_contexts, generate_corpus,
+                               verify_sp)
+from aspforget.ht_semantics import (SignatureLimitError, answer_sets,
+                                    answer_sets_from_pairs, ht_models)
 from aspforget.semantic import satisfies_omega
 
 
@@ -148,6 +150,30 @@ def test_verify_sp_accepts_explicit_result(golden):
     p = golden["chain_pos"]
     report = verify_sp(p, "q", result=forget(p, "q"))
     assert report.ok
+
+
+def test_verify_sp_depth2_matches_fresh_context_models(golden):
+    # depth-2 pair tables are intersections of single-rule tables; the
+    # report must equal one built from each context's own HT-models, for
+    # the real result and for a wrong one that fails under many contexts
+    p = golden["positive_link"]
+    universe = p.signature
+    pairs_p = ht_models(p, universe).members
+    contexts = enumerate_contexts(universe - {"q"}, 2)
+    for result in (forget(p, "q"), Program()):
+        pairs_f = ht_models(result, universe).members
+        failures = []
+        for ctx in contexts:
+            pairs_ctx = ht_models(ctx, universe).members
+            expected = frozenset(s - {"q"} for s in
+                                 answer_sets_from_pairs(pairs_p & pairs_ctx))
+            actual = answer_sets_from_pairs(pairs_f & pairs_ctx)
+            if expected != actual:
+                failures.append(SPFailure(ctx, expected, actual))
+        want = SPReport(p, "q", False, len(contexts), tuple(failures))
+        assert verify_sp(p, "q", depth=2, result=result) == want
+    assert len(contexts) == 4 + 33 + 33 * 32 // 2
+    assert failures
 
 
 def test_verify_sp_signature_guard():

@@ -46,6 +46,26 @@ def test_subsumed_rules_dropped(prog):
     assert normal_form(prog("a :- b. a :- b, c.")) == prog("a :- b.")
 
 
+def test_subsumption_is_strict(prog):
+    # a rule never subsumes itself, and a smaller head subsumes a larger one
+    assert normal_form(prog("a :- b.")) == prog("a :- b.")
+    assert normal_form(prog("a :- b. a | c :- b.")) == prog("a :- b.")
+    assert normal_form(prog("a | c :- b. c :- b, d.")) \
+        == prog("a | c :- b. c :- b, d.")
+
+
+def test_subsumption_keeps_different_body_forms(prog):
+    p = prog("a :- not b. a :- b.")
+    assert normal_form(p) == p
+    p = prog("a :- not b. a :- not not b.")
+    assert normal_form(p) == p
+
+
+def test_subsumed_rule_loses_to_its_witness(prog):
+    p = prog("a :- b. a | c :- b, not d.")
+    assert normal_form(p) == prog("a :- b.")
+
+
 def test_already_normal_program_is_fixed(prog):
     p = prog("t :- q. v :- not q. q :- s. q :- w.")
     assert normal_form(p) == p
