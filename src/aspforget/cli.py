@@ -17,14 +17,12 @@ from typing import List, Optional
 
 from .core import Program, check_atom, rule_key
 from .distance import program_distance
-from .forget import (_require_q_forgettable, forget_iterated,
-                     forget_with_trace, is_q_forgettable)
+from .forget import _forget, forget_iterated, is_q_forgettable
 from .harness import CorpusSpec, generate_corpus, verify_sp
 from .ht_semantics import (SignatureLimitError, answer_sets_from_pairs,
                            equivalent, ht_models, strongly_equivalent)
 from .normalform import normal_form
-from .parser_io import (ParseError, format_program, models_to_json,
-                        parse_program)
+from .parser_io import ParseError, format_program, parse_program
 from .semantic import f_sem, satisfies_omega
 
 
@@ -56,13 +54,19 @@ def _fmt_set(atoms) -> str:
     return "{" + ",".join(sorted(atoms)) + "}"
 
 
+def _print_json(payload) -> None:
+    print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
+
+
+def _by_size(sets) -> List[List[str]]:
+    """Atom sets as sorted lists, ordered by size and then by atoms."""
+    return sorted((sorted(a) for a in sets), key=lambda a: (len(a), a))
+
+
 def _emit_program(p: Program, args) -> None:
     if args.json:
-        payload = {
-            "signature": sorted(p.signature),
-            "rules": [str(r) for r in p],
-        }
-        print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
+        _print_json({"signature": sorted(p.signature),
+                     "rules": [str(r) for r in p]})
     else:
         sys.stdout.write(format_program(p))
 
@@ -89,9 +93,7 @@ def _cmd_forget(args) -> int:
         result = forget_iterated(p, atoms)
         trace = ()
     else:
-        if args.fast:
-            _require_q_forgettable(p, atoms[0])
-        result, trace = forget_with_trace(p, atoms[0])
+        result, trace = _forget(p, atoms[0], fast=args.fast)
     if args.trace:
         for entry in sorted(trace, key=lambda e: (e.tag, rule_key(e.rule))):
             srcs = "; ".join(str(s) for s in entry.sources)
@@ -120,11 +122,11 @@ def _cmd_models(args) -> int:
     if args.json:
         payload = {"signature": sorted(pairs.sigma)}
         if want_ht:
-            payload["ht_models"] = json.loads(models_to_json(pairs))["ht_models"]
+            payload["ht_models"] = sorted([sorted(m.x), sorted(m.y)]
+                                          for m in pairs.members)
         if want_as:
-            payload["answer_sets"] = sorted(
-                (sorted(a) for a in ans), key=lambda a: (len(a), a))
-        print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
+            payload["answer_sets"] = _by_size(ans)
+        _print_json(payload)
         return 0
     print(f"signature: {_fmt_set(pairs.sigma)}")
     if want_ht:
@@ -135,7 +137,7 @@ def _cmd_models(args) -> int:
             print(f"  <{_fmt_set(x)},{_fmt_set(y)}>")
     if want_as:
         print("answer-sets:")
-        for a in sorted(ans, key=lambda a: (len(a), sorted(a))):
+        for a in _by_size(ans):
             print(f"  {_fmt_set(a)}")
     return 0
 
@@ -159,21 +161,19 @@ def _cmd_omega(args) -> int:
     v = set(_atom_list(args.atoms))
     verdict, report = satisfies_omega(p, v, limit=args.limit)
     if args.json:
-        payload = {
+        _print_json({
             "satisfies": verdict,
             "witness": sorted(report.witness) if report.witness is not None
                        else None,
             "candidates": [
                 {
                     "y": sorted(c.y),
-                    "rel": sorted((sorted(a) for a in c.rel),
-                                  key=lambda a: (len(a), a)),
+                    "rel": _by_size(c.rel),
                     "has_least": c.has_least,
                 }
                 for c in report.candidates
             ],
-        }
-        print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
+        })
         return 0 if verdict else 1
     if verdict:
         return _verdict(True, f"obstructed: forgetting {_fmt_set(v)} cannot "
@@ -195,11 +195,8 @@ def _cmd_distance(args) -> int:
     p2 = _read_program(args.right)
     value, matching = program_distance(p1, p2)
     if args.json:
-        payload = {
-            "distance": value,
-            "matching": [[str(a), str(b)] for a, b in matching],
-        }
-        print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
+        _print_json({"distance": value,
+                     "matching": [[str(a), str(b)] for a, b in matching]})
         return 0
     print(value)
     if args.witness:
@@ -229,7 +226,7 @@ def _cmd_verify_sp(args) -> int:
                for p in programs]
     ok = all(r.ok for r in reports)
     if args.json:
-        payload = [
+        _print_json([
             {
                 "program": [str(r) for r in rep.program],
                 "atom": rep.atom,
@@ -245,8 +242,7 @@ def _cmd_verify_sp(args) -> int:
                 ],
             }
             for rep in reports
-        ]
-        print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
+        ])
         return 0 if ok else 1
     checked = sum(r.contexts_checked for r in reports)
     bad = sum(len(r.failures) for r in reports)

@@ -4,14 +4,19 @@ Rule distance is the symmetric difference of heads plus that of bodies
 (body literals compared with their negation kind).  Program distance
 matches rules of one program injectively to rules of the other: matched
 pairs cost their rule distance, unmatched rules cost their full size, and
-the minimum over all partial injective matchings is taken.  The minimum is
-computed exactly as a linear assignment problem with one dummy node per
-rule, so leaving any rule unmatched stays available at its own cost.
+the minimum over all partial injective matchings is taken.  As
+``rule_distance(a, b) = size(a) + size(b) - 2 * shared(a, b)``, where
+``shared`` counts the head atoms and body literals both rules have, a
+matching costs the total size of both programs minus twice its shared
+count, so the minimum is one maximum-overlap assignment on the
+``n1 x n2`` matrix of shared counts.  No count is negative, so pairing
+every rule of the smaller program loses nothing: a pair sharing nothing
+costs what leaving both rules unmatched costs.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -33,25 +38,16 @@ def program_distance(p1: Program, p2: Program
                      ) -> Tuple[int, Tuple[Tuple[Rule, Rule], ...]]:
     """Minimum total edit cost and one optimal matching as rule pairs.
 
-    The returned pairs are the matched rules (unmatched rules are simply
-    absent); ties are broken deterministically by sorting both rule lists
-    first.
+    The cost is the total rule size minus twice the largest overlap of a
+    matching, with every rule of the smaller program paired (exact, see
+    above); ties are broken by sorting both rule lists first.
     """
-    rules1: List[Rule] = sorted(p1.rules, key=rule_key)
-    rules2: List[Rule] = sorted(p2.rules, key=rule_key)
+    rules1, rules2 = (sorted(p.rules, key=rule_key) for p in (p1, p2))
     n1, n2 = len(rules1), len(rules2)
-    if n1 == 0 and n2 == 0:
-        return 0, ()
-    n = n1 + n2
-    cost = np.zeros((n, n), dtype=np.int64)
-    for i, r1 in enumerate(rules1):
-        for j, r2 in enumerate(rules2):
-            cost[i, j] = rule_distance(r1, r2)
-        cost[i, n2:] = rule_size(r1)
-    for j, r2 in enumerate(rules2):
-        cost[n1:, j] = rule_size(r2)
-    rows, cols = linear_sum_assignment(cost)
-    total = int(cost[rows, cols].sum())
-    matching = tuple((rules1[i], rules2[j])
-                     for i, j in zip(rows, cols) if i < n1 and j < n2)
-    return total, matching
+    shared = np.fromiter((len(a.head & b.head) + len(a.body & b.body)
+                          for a in rules1 for b in rules2),
+                         dtype=np.int64, count=n1 * n2).reshape(n1, n2)
+    rows, cols = linear_sum_assignment(shared, maximize=True)
+    total = sum(map(rule_size, rules1)) + sum(map(rule_size, rules2))
+    matching = tuple((rules1[i], rules2[j]) for i, j in zip(rows, cols))
+    return total - 2 * int(shared[rows, cols].sum()), matching

@@ -186,7 +186,15 @@ def forget_with_trace(p: Program, q: str) -> Tuple[Program, Tuple[TraceEntry, ..
     pre-normalization rule has at least one entry; the final program is the
     normal form of those rules over the signature without ``q``.
     """
+    return _forget(p, q, fast=False)
+
+
+def _forget(p: Program, q: str, fast: bool
+            ) -> Tuple[Program, Tuple[TraceEntry, ...]]:
+    # with ``fast``, refuse from the same buckets the derivation reads
     part = _split(normal_form(p), q)
+    if fast and not _forgettable(part):
+        raise ValueError(f"program is not {q}-forgettable; use forget()")
     entries = tuple(_derivations(part, q))
     raw = Program((e.rule for e in entries), signature=p.signature - {q})
     return normal_form(raw), entries
@@ -219,7 +227,10 @@ def is_q_forgettable(p: Program, q: str) -> bool:
     subsumes every other rule with q in the head, so the normal form then
     has no self-cycle.
     """
-    part = _split(normal_form(p), q)
+    return _forgettable(_split(normal_form(p), q))
+
+
+def _forgettable(part: Partition) -> bool:
     return not part.r3 or not (part.r0 or part.r1 or part.r2 or part.r4)
 
 
@@ -229,11 +240,6 @@ def forget_fast(p: Program, q: str) -> Program:
     On that class only the pass-through and families 1a, 1b and 4 can
     emit rules, since every other family pairs a self-cycle with a
     consumer or a producer, so the result is exactly :func:`forget`'s.
+    The input is normalized once, for the test and the derivation both.
     """
-    _require_q_forgettable(p, q)
-    return forget(p, q)
-
-
-def _require_q_forgettable(p: Program, q: str) -> None:
-    if not is_q_forgettable(p, q):
-        raise ValueError(f"program is not {q}-forgettable; use forget()")
+    return _forget(p, q, fast=True)[0]

@@ -22,6 +22,15 @@ def prog():
     return parse_program
 
 
+def stress_family(k):
+    """2k + 2 rules whose forgetting of q emits 303 rules at k = 3 and
+    1202 at k = 4: ``q | u_i :- b_i, not c_i.`` and ``t_i :- q, d_i.``
+    for i < k, plus ``v :- not q.`` and ``q :- not not q, e.``"""
+    return parse_program("".join(f"q | u{i} :- b{i}, not c{i}. t{i} :- q, d{i}. "
+                                 for i in range(k))
+                         + "v :- not q. q :- not not q, e.")
+
+
 # ---------------------------------------------------------------------------
 # hypothesis strategies over the 4-atom universe used by randomized tests
 

@@ -197,6 +197,10 @@ def test_distance(lp, capsys):
     code, out, _ = run(capsys, "distance", "--witness", left, right)
     assert code == 0
     assert out == "3\n  a :- b, not c.  ~  a :- not c.\n"
+    code, out, _ = run(capsys, "distance", "--json", left, right)
+    assert code == 0
+    assert out == ('{"distance":3,"matching":'
+                   '[["a :- b, not c.","a :- not c."]]}\n')
 
 
 def test_fsem(lp, capsys):

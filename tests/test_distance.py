@@ -1,6 +1,7 @@
 """Rule and program distance: exact values, the oracle, witness validity."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 from aspforget.core import Program, rule
 from aspforget.distance import program_distance, rule_distance, rule_size
 from aspforget.forget import forget
-from aspforget.parser_io import parse_rule
+from aspforget.parser_io import parse_program, parse_rule
 from aspforget.semantic import f_sem
 
 from . import oracles
-from .conftest import rules as rule_strategy
+from .conftest import rules as rule_strategy, stress_family
 
 
 @pytest.mark.parametrize("text,size", [
@@ -61,7 +62,8 @@ def test_worked_example(golden):
 
 
 def test_distance_to_self_is_zero(golden):
-    for p in golden.values():
+    # the size-0 rule :-. shares nothing with itself yet stays matched
+    for p in [*golden.values(), parse_program(":-. a :- b.")]:
         d, matching = program_distance(p, p)
         assert d == 0
         assert len(matching) == len(p)
@@ -78,9 +80,10 @@ def test_distance_symmetry(golden):
 def test_distance_empty_program(golden):
     p = golden["disjunctive_mixed"]
     total = sum(rule_size(r) for r in p)
-    d, matching = program_distance(p, Program())
-    assert d == total
-    assert matching == ()
+    for left, right in ((p, Program()), (Program(), p)):
+        d, matching = program_distance(left, right)
+        assert d == total
+        assert matching == ()
 
 
 def test_distance_upper_bound(golden):
@@ -108,8 +111,10 @@ def test_distance_to_counter_model_program(golden):
 
 def test_witness_cost_matches_reported(golden, small_corpus):
     pairs = list(zip(small_corpus[:20], small_corpus[20:40]))
+    stress = stress_family(3)
     pairs += [(golden["disjunctive_mixed"],
-               forget(golden["disjunctive_mixed"], "q"))]
+               forget(golden["disjunctive_mixed"], "q")),
+              (stress, forget(stress, "q"))]
     for p1, p2 in pairs:
         d, matching = program_distance(p1, p2)
         matched1 = {m[0] for m in matching}
@@ -120,6 +125,20 @@ def test_witness_cost_matches_reported(golden, small_corpus):
         cost += sum(rule_size(r) for r in p1.rules - matched1)
         cost += sum(rule_size(r) for r in p2.rules - matched2)
         assert cost == d
+
+
+def test_distance_allocates_no_padded_matrix():
+    # 10 x 1202 rules: the int64 overlap matrix takes 0.1 MB, while an
+    # (n1 + n2)^2 padded matrix and its float copy take 24 MB
+    p = stress_family(4)
+    result = forget(p, "q")
+    tracemalloc.start()
+    try:
+        program_distance(p, result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_agrees_with_exhaustive_oracle(small_corpus):
