@@ -23,7 +23,7 @@ from .ht_semantics import (HTInterpretation, HTModelSet, SignatureLimitError,
                            strongly_equivalent, v_exclusion)
 from .normalform import is_normal_form, normal_form
 from .parser_io import (ParseError, format_program, format_rule,
-                        models_to_json, parse_program, parse_rule)
+                        parse_program, parse_rule)
 from .semantic import (OmegaCandidate, OmegaReport, f_sem, fsp_target_models,
                        rel_sets, satisfies_omega)
 
@@ -38,7 +38,7 @@ __all__ = [
     "forget_fast", "forget_iterated", "forget_with_trace", "format_program",
     "format_rule", "fsp_target_models", "generate_corpus", "ht_models",
     "is_normal_form", "is_q_forgettable", "is_tautological", "make_rule",
-    "models_to_json", "naf", "nafnaf", "normal_form", "parse_program",
+    "naf", "nafnaf", "normal_form", "parse_program",
     "parse_rule", "partition", "program_distance", "reduct", "rel_sets",
     "rule", "rule_distance", "rule_size", "satisfies_omega", "signature",
     "strongly_equivalent", "v_exclusion", "verify_sp",

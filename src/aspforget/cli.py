@@ -1,10 +1,13 @@
 """Command line front end.
 
 One executable, one subcommand per library operation.  Programs are read
-from file paths or ``-`` for standard input.  Boolean checks report
-through the exit code (0 = yes, 1 = no) so they compose in shell
-scripts; ``--quiet`` drops the human-readable echo.  Parse problems exit
-with 2, enumeration-guard violations with 3.
+from file paths or ``-`` for standard input, which may be given once.
+:func:`main` reads every program argument before the subcommand runs and
+widens it by ``--signature``; each subcommand then computes and prints
+through :func:`_emit` (JSON under ``--json``, text otherwise).  Boolean
+checks report through the exit code (0 = yes, 1 = no) so they compose in
+shell scripts; ``--quiet`` drops the human-readable echo.  Parse problems
+exit with 2, enumeration-guard violations with 3.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .ht_semantics import (SignatureLimitError, answer_sets_from_pairs,
                            equivalent, ht_models, strongly_equivalent)
 from .normalform import normal_form
 from .parser_io import ParseError, format_program, parse_program
-from .semantic import f_sem, satisfies_omega
+from .semantic import f_sem, fsp_target_models, satisfies_omega
 
 
 def _read_program(path: str) -> Program:
@@ -34,12 +37,11 @@ def _read_program(path: str) -> Program:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise SystemExit(f"aspforget: cannot read {path}: {exc.strerror}")
+            raise ValueError(f"cannot read {path}: {exc.strerror}")
     try:
         return parse_program(text)
     except ParseError as exc:
-        name = "<stdin>" if path == "-" else path
-        exc.source = name
+        exc.source = "<stdin>" if path == "-" else path
         raise
 
 
@@ -54,36 +56,41 @@ def _fmt_set(atoms) -> str:
     return "{" + ",".join(sorted(atoms)) + "}"
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
-
-
 def _by_size(sets) -> List[List[str]]:
     """Atom sets as sorted lists, ordered by size and then by atoms."""
     return sorted((sorted(a) for a in sets), key=lambda a: (len(a), a))
 
 
-def _emit_program(p: Program, args) -> None:
+def _emit(args, payload, text) -> None:
+    """Print ``payload()`` as one JSON line under ``--json``, else write the
+    strings of ``text()``.  Only the form asked for is built: a model
+    listing can be huge."""
     if args.json:
-        _print_json({"signature": sorted(p.signature),
-                     "rules": [str(r) for r in p]})
+        print(json.dumps(payload(), separators=(",", ":"), sort_keys=True))
     else:
-        sys.stdout.write(format_program(p))
+        sys.stdout.writelines(text())
 
 
-def _verdict(flag: bool, yes: str, no: str, args) -> int:
-    if not args.quiet:
+def _emit_program(args, p: Program) -> None:
+    _emit(args, lambda: {"signature": sorted(p.signature),
+                         "rules": [str(r) for r in p]},
+          lambda: [format_program(p)])
+
+
+def _verdict(args, flag: bool, yes: str, no: str) -> int:
+    """Exit 0 for yes, 1 for no; say which unless ``--quiet`` or ``--json``."""
+    if not (args.quiet or getattr(args, "json", False)):
         print(yes if flag else no)
     return 0 if flag else 1
 
 
 def _cmd_normalize(args) -> int:
-    _emit_program(normal_form(_read_program(args.program)), args)
+    _emit_program(args, normal_form(args.program))
     return 0
 
 
 def _cmd_forget(args) -> int:
-    p = _read_program(args.program)
+    p = args.program
     atoms = _atom_list(args.atoms if args.atoms else args.atom)
     if len(atoms) > 1:
         if args.fast or args.trace:
@@ -98,9 +105,8 @@ def _cmd_forget(args) -> int:
         for entry in sorted(trace, key=lambda e: (e.tag, rule_key(e.rule))):
             srcs = "; ".join(str(s) for s in entry.sources)
             print(f"% {entry.tag}: {entry.rule}" + (f"  <=  {srcs}" if srcs else ""))
-    _emit_program(result, args)
+    _emit_program(args, result)
     if args.check_oracle:
-        from .semantic import fsp_target_models
         want = fsp_target_models(p, set(atoms), limit=args.limit)
         got = ht_models(result, want.sigma, limit=args.limit)
         if got.members != want.members:
@@ -112,148 +118,128 @@ def _cmd_forget(args) -> int:
 
 
 def _cmd_models(args) -> int:
-    p = _read_program(args.program)
-    if args.signature:
-        p = p.widen(_atom_list(args.signature))
     want_ht = args.ht or not args.answer
     want_as = args.answer or not args.ht
-    pairs = ht_models(p, limit=args.limit)
-    ans = answer_sets_from_pairs(pairs.members) if want_as else frozenset()
-    if args.json:
-        payload = {"signature": sorted(pairs.sigma)}
+    pairs = ht_models(args.program, limit=args.limit)
+    ans = _by_size(answer_sets_from_pairs(pairs.members)) if want_as else []
+
+    def payload():
+        out = {"signature": sorted(pairs.sigma)}
         if want_ht:
-            payload["ht_models"] = sorted([sorted(m.x), sorted(m.y)]
-                                          for m in pairs.members)
+            out["ht_models"] = sorted([sorted(m.x), sorted(m.y)]
+                                      for m in pairs.members)
         if want_as:
-            payload["answer_sets"] = _by_size(ans)
-        _print_json(payload)
-        return 0
-    print(f"signature: {_fmt_set(pairs.sigma)}")
-    if want_ht:
-        print("ht-models:")
-        for x, y in sorted(pairs.members,
-                           key=lambda m: (len(m[1]), sorted(m[1]),
-                                          len(m[0]), sorted(m[0]))):
-            print(f"  <{_fmt_set(x)},{_fmt_set(y)}>")
-    if want_as:
-        print("answer-sets:")
-        for a in _by_size(ans):
-            print(f"  {_fmt_set(a)}")
+            out["answer_sets"] = ans
+        return out
+
+    def text():
+        yield f"signature: {_fmt_set(pairs.sigma)}\n"
+        if want_ht:
+            yield "ht-models:\n"
+            for x, y in sorted(pairs.members,
+                               key=lambda m: (len(m[1]), sorted(m[1]),
+                                              len(m[0]), sorted(m[0]))):
+                yield f"  <{_fmt_set(x)},{_fmt_set(y)}>\n"
+        if want_as:
+            yield "answer-sets:\n"
+            for a in ans:
+                yield f"  {_fmt_set(a)}\n"
+
+    _emit(args, payload, text)
     return 0
 
 
 def _cmd_equiv(args) -> int:
-    p1 = _read_program(args.left)
-    p2 = _read_program(args.right)
-    extra = _atom_list(args.signature) if args.signature else ()
+    extra = _atom_list(args.extra) if args.extra else ()
     if args.weak:
-        eq = equivalent(p1, p2, limit=args.limit)
-        return _verdict(eq, "equivalent (same answer sets)",
-                        "not equivalent", args)
-    eq = strongly_equivalent(p1, p2, sigma=extra, limit=args.limit)
-    return _verdict(eq, "strongly equivalent", "not strongly equivalent", args)
+        eq = equivalent(args.left, args.right, limit=args.limit)
+        return _verdict(args, eq, "equivalent (same answer sets)",
+                        "not equivalent")
+    eq = strongly_equivalent(args.left, args.right, sigma=extra,
+                             limit=args.limit)
+    return _verdict(args, eq, "strongly equivalent", "not strongly equivalent")
 
 
 def _cmd_omega(args) -> int:
-    p = _read_program(args.program)
-    if args.signature:
-        p = p.widen(_atom_list(args.signature))
     v = set(_atom_list(args.atoms))
-    verdict, report = satisfies_omega(p, v, limit=args.limit)
-    if args.json:
-        _print_json({
-            "satisfies": verdict,
-            "witness": sorted(report.witness) if report.witness is not None
-                       else None,
-            "candidates": [
-                {
-                    "y": sorted(c.y),
-                    "rel": _by_size(c.rel),
-                    "has_least": c.has_least,
-                }
-                for c in report.candidates
-            ],
-        })
-        return 0 if verdict else 1
-    if verdict:
-        return _verdict(True, f"obstructed: forgetting {_fmt_set(v)} cannot "
-                        f"preserve persistence (witness Y={_fmt_set(report.witness)})",
-                        "", args)
-    return _verdict(False, "", f"not obstructed: {_fmt_set(v)} can be "
-                    "forgotten with persistence", args)
+    verdict, report = satisfies_omega(args.program, v, limit=args.limit)
+    _emit(args, lambda: {
+        "satisfies": verdict,
+        "witness": sorted(report.witness) if report.witness is not None
+                   else None,
+        "candidates": [
+            {
+                "y": sorted(c.y),
+                "rel": _by_size(c.rel),
+                "has_least": c.has_least,
+            }
+            for c in report.candidates
+        ],
+    }, lambda: ())
+    return _verdict(args, verdict,
+                    f"obstructed: forgetting {_fmt_set(v)} cannot preserve "
+                    f"persistence (witness Y={_fmt_set(report.witness or ())})",
+                    f"not obstructed: {_fmt_set(v)} can be forgotten with "
+                    "persistence")
 
 
 def _cmd_qforgettable(args) -> int:
-    p = _read_program(args.program)
     q = check_atom(args.atom)
-    return _verdict(is_q_forgettable(p, q),
-                    f"{q}-forgettable", f"not {q}-forgettable", args)
+    return _verdict(args, is_q_forgettable(args.program, q),
+                    f"{q}-forgettable", f"not {q}-forgettable")
 
 
 def _cmd_distance(args) -> int:
-    p1 = _read_program(args.left)
-    p2 = _read_program(args.right)
-    value, matching = program_distance(p1, p2)
-    if args.json:
-        _print_json({"distance": value,
-                     "matching": [[str(a), str(b)] for a, b in matching]})
-        return 0
-    print(value)
-    if args.witness:
-        for a, b in matching:
-            print(f"  {a}  ~  {b}")
+    value, matching = program_distance(args.left, args.right)
+    witness = matching if args.witness else ()
+    _emit(args, lambda: {"distance": value,
+                         "matching": [[str(a), str(b)] for a, b in matching]},
+          lambda: [f"{value}\n", *(f"  {a}  ~  {b}\n" for a, b in witness)])
     return 0
 
 
 def _cmd_fsem(args) -> int:
-    p = _read_program(args.program)
-    v = set(_atom_list(args.atoms))
-    result = f_sem(p, v, limit=args.limit)
+    result = f_sem(args.program, set(_atom_list(args.atoms)), limit=args.limit)
     if args.normalize:
         result = normal_form(result)
-    _emit_program(result, args)
+    _emit_program(args, result)
     return 0
 
 
 def _cmd_verify_sp(args) -> int:
-    if args.program:
-        programs = [_read_program(args.program)]
+    if args.program is not None:
+        programs = [args.program]
     else:
         spec = CorpusSpec(seed=args.seed, count=args.count)
         programs = generate_corpus(spec)
     q = check_atom(args.atom)
     reports = [verify_sp(p, q, depth=args.depth, limit=args.limit)
                for p in programs]
-    ok = all(r.ok for r in reports)
-    if args.json:
-        _print_json([
-            {
-                "program": [str(r) for r in rep.program],
-                "atom": rep.atom,
-                "obstructed": rep.omega,
-                "contexts": rep.contexts_checked,
-                "failures": [
-                    {
-                        "context": [str(r) for r in f.context],
-                        "expected": sorted(sorted(a) for a in f.expected),
-                        "actual": sorted(sorted(a) for a in f.actual),
-                    }
-                    for f in rep.failures
-                ],
-            }
-            for rep in reports
-        ])
-        return 0 if ok else 1
-    checked = sum(r.contexts_checked for r in reports)
-    bad = sum(len(r.failures) for r in reports)
-    if not args.quiet:
-        print(f"instances: {len(reports)}  contexts: {checked}  "
-              f"failures: {bad}")
-        for rep in reports:
-            for f in rep.failures:
-                ctx = " ".join(str(r) for r in f.context) or "(empty)"
-                print(f"  FAIL under {ctx}")
-    return 0 if ok else 1
+    bad = [f for r in reports for f in r.failures]
+    lines = [f"instances: {len(reports)}  "
+             f"contexts: {sum(r.contexts_checked for r in reports)}  "
+             f"failures: {len(bad)}"]
+    lines += ("  FAIL under "
+              + (" ".join(str(r) for r in f.context) or "(empty)")
+              for f in bad)
+    _emit(args, lambda: [
+        {
+            "program": [str(r) for r in rep.program],
+            "atom": rep.atom,
+            "obstructed": rep.omega,
+            "contexts": rep.contexts_checked,
+            "failures": [
+                {
+                    "context": [str(r) for r in f.context],
+                    "expected": sorted(sorted(a) for a in f.expected),
+                    "actual": sorted(sorted(a) for a in f.actual),
+                }
+                for f in rep.failures
+            ],
+        }
+        for rep in reports
+    ], lambda: () if args.quiet else (line + "\n" for line in lines))
+    return 0 if all(r.ok for r in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("right", help="program file or -")
     sp.add_argument("--weak", action="store_true",
                     help="same answer sets only")
-    sp.add_argument("--signature", metavar="A,B,..",
+    sp.add_argument("--signature", dest="extra", metavar="A,B,..",
                     help="extra atoms for the comparison signature")
 
     sp = add("omega", _cmd_omega,
@@ -357,6 +343,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        paths = {name: getattr(args, name)
+                 for name in ("program", "left", "right")
+                 if getattr(args, name, None) is not None}
+        if list(paths.values()).count("-") > 1:
+            raise ValueError("standard input (-) can be read only once")
+        for name, path in paths.items():
+            setattr(args, name, _read_program(path))
+        if getattr(args, "signature", None):
+            args.program = args.program.widen(_atom_list(args.signature))
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -366,8 +361,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except ParseError as exc:
-        source = getattr(exc, "source", "<input>")
-        print(f"aspforget: {source}:{exc}", file=sys.stderr)
+        print(f"aspforget: {exc.source}:{exc}", file=sys.stderr)
         if exc.snippet:
             print(f"  {exc.snippet}", file=sys.stderr)
         return 2
@@ -378,11 +372,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"aspforget: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        if exc.code and not isinstance(exc.code, int):
-            print(exc.code, file=sys.stderr)
-            return 2
-        raise
 
 
 if __name__ == "__main__":

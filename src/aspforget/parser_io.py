@@ -1,4 +1,4 @@
-"""Concrete syntax: parsing, canonical printing, JSON export.
+"""Concrete syntax: parsing and canonical printing.
 
 Grammar (``%`` starts a comment reaching the end of the line)::
 
@@ -13,16 +13,15 @@ is accepted back; it arises from forgetting and denotes the always-violated
 constraint.  Canonical printing sorts head atoms alphabetically, body
 literals by kind (positive, ``not``, ``not not``) and then alphabetically,
 and whole rules by their printed form, one per line, so that printing is
-injective on programs and ``parse(print(P)) == P``.
+injective on programs and ``parse(print(P)) == P``.  Error positions count
+lines as the scanner does.  JSON output belongs to the command line front end.
 """
 
 from __future__ import annotations
 
-import json
-from typing import FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import List, Tuple
 
 from .core import ATOM_RE, Literal, Program, Rule, make_rule
-from .ht_semantics import HTModelSet
 
 
 class ParseError(Exception):
@@ -34,9 +33,6 @@ class ParseError(Exception):
         self.line = line
         self.column = column
         self.snippet = snippet
-
-
-_PUNCT = {":-", ".", ",", "|"}
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int, int]]:
@@ -71,19 +67,24 @@ def _tokenize(text: str) -> List[Tuple[str, str, int, int]]:
             word = text[i:j]
             if not ATOM_RE.match(word):
                 raise ParseError(f"invalid atom name {word!r}", line, col,
-                                 _line_of(text, line))
+                                 _lines(text)[line - 1])
             tokens.append(("atom", word, line, col))
             col += j - i
             i = j
         else:
             raise ParseError(f"unexpected character {c!r}", line, col,
-                             _line_of(text, line))
+                             _lines(text)[line - 1])
     return tokens
 
 
-def _line_of(text: str, line: int) -> str:
-    lines = text.splitlines()
-    return lines[line - 1] if 0 < line <= len(lines) else ""
+def _lines(text: str) -> List[str]:
+    """Lines as the scanner counts them: only ``\\n`` ends one, a ``\\r``
+    before it belongs to the break, and a final break starts no new line."""
+    *ended, last = text.split("\n")
+    lines = [line.removesuffix("\r") for line in ended]
+    if last or not lines:
+        lines.append(last)
+    return lines
 
 
 class _Parser:
@@ -99,9 +100,9 @@ class _Parser:
         if tok is None:
             tok = self._peek()
         if tok is None:
-            lines = self.text.splitlines() or [""]
+            lines = _lines(self.text)
             raise ParseError(message, len(lines), len(lines[-1]) + 1, lines[-1])
-        raise ParseError(message, tok[2], tok[3], _line_of(self.text, tok[2]))
+        raise ParseError(message, tok[2], tok[3], _lines(self.text)[tok[2] - 1])
 
     def _take_punct(self, value: str) -> None:
         tok = self._peek()
@@ -182,33 +183,3 @@ def format_program(p: Program) -> str:
     """
     lines = sorted(format_rule(r) for r in p.rules)
     return "".join(line + "\n" for line in lines)
-
-
-AnswerSets = FrozenSet[FrozenSet[str]]
-
-
-def models_to_json(models: Union[HTModelSet, Iterable[FrozenSet[str]]],
-                   sigma: Optional[Iterable[str]] = None) -> str:
-    """Stable JSON for HT-model sets or answer-set collections.
-
-    Atom arrays are sorted, as are the outer arrays, so equal inputs always
-    serialize to the same bytes.  For answer-set collections the signature
-    defaults to the union of the sets unless given explicitly.
-    """
-    if isinstance(models, HTModelSet):
-        payload = {
-            "signature": sorted(models.sigma),
-            "ht_models": sorted([sorted(m.x), sorted(m.y)]
-                                for m in models.members),
-        }
-    else:
-        sets = [frozenset(s) for s in models]
-        if sigma is None:
-            sig = sorted(set().union(*sets)) if sets else []
-        else:
-            sig = sorted(sigma)
-        payload = {
-            "signature": sig,
-            "answer_sets": sorted(sorted(s) for s in sets),
-        }
-    return json.dumps(payload, separators=(",", ":"))

@@ -113,6 +113,8 @@ def test_forget_json(lp, capsys):
 def test_normalize(lp, capsys):
     path = lp("a :- b, not not b. a :- b, c.\n")
     assert run(capsys, "normalize", path) == (0, "a :- b.\n", "")
+    assert run(capsys, "normalize", "--json", path) \
+        == (0, '{"rules":["a :- b."],"signature":["a","b","c"]}\n', "")
 
 
 def test_models_json(lp, capsys):
@@ -128,6 +130,11 @@ def test_models_text_sections(lp, capsys):
     assert code == 0
     assert "signature:" in out and "ht-models:" in out \
         and "answer-sets:" in out
+    assert run(capsys, "models", lp(SELF_CYCLE)) \
+        == (0, "signature: {a,q}\n"
+               "ht-models:\n  <{},{}>\n  <{},{a}>\n  <{a},{a}>\n"
+               "  <{a,q},{a,q}>\n"
+               "answer-sets:\n  {}\n  {a,q}\n", "")
 
 
 def test_models_selection(lp, capsys):
@@ -144,6 +151,10 @@ def test_models_signature_widening(lp, capsys):
                      lp("a.\n"))
     assert json.loads(narrow)["signature"] == ["a"]
     assert json.loads(wide)["signature"] == ["a", "b"]
+    assert run(capsys, "models", "--signature", "b", lp("a.\n")) \
+        == (0, "signature: {a,b}\n"
+               "ht-models:\n  <{a},{a}>\n  <{a},{a,b}>\n  <{a,b},{a,b}>\n"
+               "answer-sets:\n  {a}\n", "")
 
 
 def test_equiv(lp, capsys):
@@ -154,6 +165,16 @@ def test_equiv(lp, capsys):
     other = lp("a :- not c.\n", "o.lp")
     code, out, _ = run(capsys, "equiv", left, other)
     assert (code, out) == (1, "not strongly equivalent\n")
+    assert run(capsys, "equiv", "--signature", "b", left, right) \
+        == (0, "strongly equivalent\n", "")
+    # --signature widens the strong comparison only; neither program is
+    # widened, so --weak ignores it
+    many = ",".join(f"z{i}" for i in range(13))
+    assert run(capsys, "equiv", "--weak", "--signature", many, left, left) \
+        == (0, "equivalent (same answer sets)\n", "")
+    code, out, err = run(capsys, "equiv", "--signature", many, left, left)
+    assert (code, out) == (3, "")
+    assert err.startswith("aspforget: signature has 14 atoms, limit is 12")
 
 
 def test_equiv_weak(lp, capsys):
@@ -172,6 +193,14 @@ def test_omega_verdicts(lp, capsys):
     code, out, _ = run(capsys, "omega", "--atoms", "q", lp(SELF_CYCLE))
     assert code == 1
     assert out == "not obstructed: {q} can be forgotten with persistence\n"
+    code, out, _ = run(capsys, "omega", "--atoms", "q", "--signature", "b",
+                       "--json", lp(SELF_CYCLE))
+    assert code == 1
+    assert out == ('{"candidates":[{"has_least":true,"rel":[[]],"y":[]},'
+                   '{"has_least":true,"rel":[[],["q"]],"y":["a"]},'
+                   '{"has_least":true,"rel":[[]],"y":["b"]},'
+                   '{"has_least":true,"rel":[[],["q"]],"y":["a","b"]}],'
+                   '"satisfies":false,"witness":null}\n')
 
 
 def test_omega_json(lp, capsys):
@@ -180,6 +209,16 @@ def test_omega_json(lp, capsys):
     assert code == 0
     assert data["satisfies"] is True
     assert data["witness"] == ["s", "t", "u"]
+    assert out == ('{"candidates":['
+                   '{"has_least":false,"rel":[],"y":[]},'
+                   '{"has_least":false,"rel":[],"y":["s"]},'
+                   '{"has_least":true,"rel":[[]],"y":["t"]},'
+                   '{"has_least":false,"rel":[],"y":["u"]},'
+                   '{"has_least":true,"rel":[[]],"y":["s","t"]},'
+                   '{"has_least":true,"rel":[["q"]],"y":["s","u"]},'
+                   '{"has_least":true,"rel":[[]],"y":["t","u"]},'
+                   '{"has_least":false,"rel":[[],["q"]],"y":["s","t","u"]}],'
+                   '"satisfies":true,"witness":["s","t","u"]}\n')
 
 
 def test_qforgettable(lp, capsys):
@@ -206,6 +245,9 @@ def test_distance(lp, capsys):
 def test_fsem(lp, capsys):
     code, out, _ = run(capsys, "fsem", "--atoms", "q", "--normalize", lp(SELF_CYCLE))
     assert (code, out) == (0, "a :- not not a.\n")
+    assert run(capsys, "fsem", "--atoms", "q", "--normalize", "--json",
+               lp(SELF_CYCLE)) \
+        == (0, '{"rules":["a :- not not a."],"signature":["a"]}\n', "")
     code, out, _ = run(capsys, "fsem", "--atoms", "q",
                        lp("d :- not c. a :- q. q :- b.\n"))
     assert code == 0
@@ -220,6 +262,13 @@ def test_verify_sp_file(lp, capsys):
                        lp(CHAIN))
     assert code == 0
     assert out == "instances: 1  contexts: 201  failures: 0\n"
+    assert run(capsys, "verify-sp", "--atom", "q", "--depth", "0", "--json",
+               lp(SELF_CYCLE)) \
+        == (0, '[{"atom":"q","contexts":2,"failures":[],"obstructed":false,'
+               '"program":["a :- q.","q :- not not q."]}]\n', "")
+    # an empty program is still a program, not a request for the corpus
+    assert run(capsys, "verify-sp", "--atom", "q", lp("", "e.lp")) \
+        == (0, "instances: 1  contexts: 2  failures: 0\n", "")
 
 
 def test_verify_sp_corpus(capsys):
@@ -297,3 +346,18 @@ def test_quiet_suppresses_verdicts(lp, capsys):
     code, out, _ = run(capsys, "--quiet", "qforgettable", "--atom", "q",
                        lp(SELF_CYCLE))
     assert (code, out) == (1, "")
+    assert run(capsys, "--quiet", "omega", "--atoms", "q",
+               lp(MIXED_CYCLE)) == (0, "", "")
+    assert run(capsys, "--quiet", "omega", "--atoms", "q",
+               lp(SELF_CYCLE)) == (1, "", "")
+    assert run(capsys, "--quiet", "equiv", lp("a.\n", "l.lp"),
+               lp("a :- not c.\n", "o.lp")) == (1, "", "")
+    assert run(capsys, "--quiet", "verify-sp", "--atom", "q",
+               lp(CHAIN)) == (0, "", "")
+
+
+@pytest.mark.parametrize("command", ["equiv", "distance"])
+def test_stdin_is_read_once(capsys, monkeypatch, command):
+    monkeypatch.setattr("sys.stdin", io.StringIO("a.\n"))
+    assert run(capsys, command, "-", "-") \
+        == (2, "", "aspforget: standard input (-) can be read only once\n")

@@ -1,14 +1,11 @@
 """Text format: grammar coverage, error positions, canonical printing."""
 
-import json
-
 import pytest
 from hypothesis import given
 
 from aspforget.core import Program, rule
-from aspforget.ht_semantics import ht_models
 from aspforget.parser_io import (ParseError, format_program, format_rule,
-                                 models_to_json, parse_program, parse_rule)
+                                 parse_program, parse_rule)
 
 from .conftest import programs as program_strategy
 
@@ -52,11 +49,16 @@ def test_duplicate_rules_collapse(prog):
     ("a :- not.", 1, 9),       # not without atom
     ("a | :- b.", 1, 5),       # dangling bar
     ("a :- b. c :-\nnot not not d.", 2, 9),
+    ("a :- b\n", 1, 7),        # a final line break starts no new line
+    # only \n ends a line, also inside a comment
+    ("% x\x0cy\nb :- c", 2, 7),
+    ("% a\x0cb\nc :- , d.", 2, 6),
 ])
 def test_error_positions(text, line, col):
     with pytest.raises(ParseError) as err:
         parse_program(text)
     assert (err.value.line, err.value.column) == (line, col)
+    assert err.value.snippet == text.split("\n")[line - 1]
 
 
 def test_triple_negation_asks_for_single():
@@ -96,20 +98,12 @@ def test_round_trip_random_programs(p):
     assert parse_program(format_program(p)) == p
 
 
-def test_models_to_json_answer_sets():
-    assert models_to_json([frozenset({"a"})]) \
-        == '{"signature":["a"],"answer_sets":[["a"]]}'
-    assert models_to_json([frozenset()], sigma=[]) \
-        == '{"signature":[],"answer_sets":[[]]}'
-
-
-def test_models_to_json_ht_models(prog):
-    doc = models_to_json(ht_models(prog("a.")))
-    assert json.loads(doc) == {"signature": ["a"],
-                               "ht_models": [[["a"], ["a"]]]}
-
-
 def test_parse_error_carries_snippet():
     with pytest.raises(ParseError) as err:
         parse_program("a :- b.\nc :- d e.\n")
     assert "c :- d e." in err.value.snippet
+    # \r\n is one line break; the \r is not part of the snippet
+    with pytest.raises(ParseError) as err:
+        parse_program("a.\r\nb :- ,\r\n")
+    assert (err.value.line, err.value.column, err.value.snippet) \
+        == (2, 6, "b :- ,")
