@@ -17,7 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, Iterator, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Tuple
 
 ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
@@ -109,7 +109,10 @@ class Rule:
 
     def __str__(self) -> str:
         head = " | ".join(sorted(self.head))
-        body = ", ".join(str(l) for l in sorted(self.body))
+        # the order of ``Literal``'s (depth, atom), without building them
+        body = ", ".join([*sorted(self.pbody),
+                          *("not " + a for a in sorted(self.nbody)),
+                          *("not not " + a for a in sorted(self.nnbody))])
         if head and body:
             return f"{head} :- {body}."
         if head:
@@ -132,6 +135,23 @@ def make_rule(head: Iterable[str], body: Iterable[Literal]) -> Rule:
     for l in body:
         parts[l.depth].add(l.atom)
     return Rule(frozenset(head), *(frozenset(p) for p in parts))
+
+
+def element_mask(r: Rule, index: Dict[Tuple[int, str], int]) -> int:
+    """The rule as a bit set of its elements: one bit per head atom and per
+    tagged body literal.
+
+    ``index`` maps ``(tag, atom)`` to a bit position and is filled on first
+    use; tag 0 is the head and tags 1, 2, 3 are body literals under zero,
+    one and two ``not``.  Masks built with one index share positions, so
+    ``a & b`` holds the elements two rules share and ``a & ~b == 0`` says
+    that every element of ``a`` is one of ``b``.
+    """
+    m = 0
+    for tag, atoms in enumerate((r.head, r.pbody, r.nbody, r.nnbody)):
+        for a in atoms:
+            m |= 1 << index.setdefault((tag, a), len(index))
+    return m
 
 
 def rule_key(r: Rule) -> Tuple:

@@ -11,7 +11,10 @@ matching costs the total size of both programs minus twice its shared
 count, so the minimum is one maximum-overlap assignment on the
 ``n1 x n2`` matrix of shared counts.  No count is negative, so pairing
 every rule of the smaller program loses nothing: a pair sharing nothing
-costs what leaving both rules unmatched costs.
+costs what leaving both rules unmatched costs.  Each rule enters as the
+bit set of its elements (:func:`aspforget.core.element_mask`, one index
+over both programs), so a size is a popcount and a shared count is the
+popcount of an AND.
 """
 
 from __future__ import annotations
@@ -21,17 +24,18 @@ from typing import Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Program, Rule, rule_key
+from .core import Program, Rule, element_mask, rule_key
 
 
 def rule_size(r: Rule) -> int:
     """Head atoms plus body literals."""
-    return len(r.head) + len(r.body)
+    return len(r.head) + len(r.pbody) + len(r.nbody) + len(r.nnbody)
 
 
 def rule_distance(r1: Rule, r2: Rule) -> int:
     """Symmetric-difference distance between two rules."""
-    return len(r1.head ^ r2.head) + len(r1.body ^ r2.body)
+    return (len(r1.head ^ r2.head) + len(r1.pbody ^ r2.pbody)
+            + len(r1.nbody ^ r2.nbody) + len(r1.nnbody ^ r2.nnbody))
 
 
 def program_distance(p1: Program, p2: Program
@@ -44,10 +48,12 @@ def program_distance(p1: Program, p2: Program
     """
     rules1, rules2 = (sorted(p.rules, key=rule_key) for p in (p1, p2))
     n1, n2 = len(rules1), len(rules2)
-    shared = np.fromiter((len(a.head & b.head) + len(a.body & b.body)
-                          for a in rules1 for b in rules2),
+    index: dict = {}
+    masks1, masks2 = ([element_mask(r, index) for r in rules]
+                      for rules in (rules1, rules2))
+    shared = np.fromiter(((a & b).bit_count() for a in masks1 for b in masks2),
                          dtype=np.int64, count=n1 * n2).reshape(n1, n2)
     rows, cols = linear_sum_assignment(shared, maximize=True)
-    total = sum(map(rule_size, rules1)) + sum(map(rule_size, rules2))
+    total = sum(m.bit_count() for m in masks1 + masks2)
     matching = tuple((rules1[i], rules2[j]) for i, j in zip(rows, cols))
     return total - 2 * int(shared[rows, cols].sum()), matching

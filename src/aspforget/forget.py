@@ -91,7 +91,9 @@ def _derivations(part: Partition, q: str) -> List[TraceEntry]:
         return sorted(rules, key=rule_key)
 
     def duals(rules: FrozenSet[Rule]) -> List[FrozenSet[Literal]]:
-        return sorted(as_dual(q, srt(rules)), key=sorted)
+        # the order of ``key=sorted``, without Literal's dataclass ``__lt__``
+        return sorted(as_dual(q, srt(rules)),
+                      key=lambda d: sorted((l.depth, l.atom) for l in d))
 
     r0s, r1s = srt(part.r0), srt(part.r1)
     r2s, r3s = srt(part.r2), srt(part.r3)

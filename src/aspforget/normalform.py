@@ -16,9 +16,12 @@ Each step preserves the HT-models of the program.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List
+from functools import reduce
+from itertools import compress
+from operator import or_
+from typing import Iterable, List
 
-from .core import Program, Rule, is_tautological
+from .core import Program, Rule, element_mask, is_tautological
 
 
 def is_normal_form(p: Program) -> bool:
@@ -40,37 +43,36 @@ def normal_form(p: Program) -> Program:
     return Program(_minimal_rules(rewritten), signature=p.signature)
 
 
+# per element, lowest first: b"\x01" where a mask's bit is clear (_LACKS)
+# or set (_HAS), as selectors for ``itertools.compress``
+_LACKS = bytes.maketrans(b"01", b"\x01\x00")
+_HAS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _minimal_rules(rules: Iterable[Rule]) -> List[Rule]:
     """Keep exactly the rules not strictly subsumed by another.
 
-    A strict subsumer is componentwise smaller, hence strictly smaller in
-    total size, so after sorting by size each rule only needs to be checked
-    against the smaller kept ones.  Heads and bodies are packed into bit
-    masks to keep this quadratic pass cheap on large programs.
+    Each rule is a bit set of its elements (:func:`core.element_mask`), and
+    a strict subsumer is a strict subset, hence has fewer bits, so after
+    sorting by bit count each rule only needs testing against the rules
+    kept before it.  ``occurs[x]`` holds, as a bit per kept rule, the kept
+    rules with element ``x``.  The OR of ``occurs`` over the elements a
+    candidate lacks is the set of kept rules that are no subset of it; the
+    candidate is subsumed iff some kept rule falls outside that set.
     """
-    rules = set(rules)
-    index = {a: i for i, a in enumerate(sorted({a for r in rules for a in r.atoms}))}
-
-    def mask(atoms: FrozenSet[str], shift: int) -> int:
-        m = 0
-        for a in atoms:
-            m |= 1 << (3 * index[a] + shift)
-        return m
-
-    packed = []
-    for r in rules:
-        h = mask(r.head, 0)
-        b = mask(r.pbody, 0) | mask(r.nbody, 1) | mask(r.nnbody, 2)
-        packed.append((len(r.head) + len(r.pbody) + len(r.nbody)
-                       + len(r.nnbody), h, b, r))
-    packed.sort(key=lambda t: t[0])
-
-    kept: List[tuple] = []
+    index: dict = {}
+    packed = sorted(((element_mask(r, index), r) for r in set(rules)),
+                    key=lambda t: t[0].bit_count())
+    n = len(index)
+    occurs = [0] * n
     out: List[Rule] = []
-    for size, h, b, r in packed:
-        if any(ks < size and kh & h == kh and kb & b == kb
-               for ks, kh, kb in kept):
+    for m, r in packed:
+        bits = format(m, f"0{n}b")[::-1].encode()
+        outside = reduce(or_, compress(occurs, bits.translate(_LACKS)), 0)
+        if ~outside & ((1 << len(out)) - 1):
             continue
-        kept.append((size, h, b))
+        bit = 1 << len(out)
+        for x in compress(range(n), bits.translate(_HAS)):
+            occurs[x] |= bit
         out.append(r)
     return out

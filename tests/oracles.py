@@ -2,8 +2,9 @@
 
 Nothing here reuses the library's algorithms.  Satisfaction, reducts and
 model enumeration are restated from scratch in the most naive way
-possible, and program distance enumerates every partial injective
-mapping.  Keep these dumb: their only job is to be obviously correct.
+possible, subsumption compares every pair of rules, and program
+distance enumerates every partial injective mapping.  Keep these dumb:
+their only job is to be obviously correct.
 """
 
 from itertools import combinations, permutations
@@ -50,6 +51,16 @@ def stable_models(rules, sigma):
     return {y for (x, y) in pairs
             if x == y and not any(x2 < y and (x2, y) in pairs
                                   for x2 in powerset(y))}
+
+
+def naive_minimal_rules(rules):
+    """Drop every rule that another rule subsumes: the other rule's head
+    and each of its body parts are subsets of this rule's."""
+    rules = set(rules)
+    return {r for r in rules
+            if not any(s != r and s.head <= r.head and s.pbody <= r.pbody
+                       and s.nbody <= r.nbody and s.nnbody <= r.nnbody
+                       for s in rules)}
 
 
 def rule_lits(r):

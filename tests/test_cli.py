@@ -5,15 +5,20 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from aspforget import cli
+from aspforget.parser_io import format_program
+
+from .conftest import stress_family
 
 CHAIN = "t :- q. v :- not q. q :- s. q :- w.\n"
 SELF_CYCLE = "q :- not not q. a :- q.\n"
 MIXED_CYCLE = "q :- not not q. u :- q. s :- q. t :- not q.\n"
 CHAIN_FORGOTTEN = "t :- s.\nt :- w.\nv :- not s, not w.\n"
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -65,6 +70,12 @@ def test_forget_trace(lp, capsys):
     assert code == 0
     assert out == ("% 3a: a :- not not a.  <=  a :- q.; q :- not not q.\n"
                    "a :- not not a.\n")
+    # the stress family at k = 2: families 3a, 4, 5 and 6 each draw from
+    # two or more blocker sets
+    code, out, _ = run(capsys, "forget", "--atom", "q", "--trace",
+                       lp(format_program(stress_family(2))))
+    assert code == 0
+    assert out == (DATA / "forget_trace_stress2.txt").read_text()
 
 
 def test_forget_fast_trace_prints_the_trace(lp, capsys):

@@ -49,6 +49,9 @@ def test_rule_equality_ignores_listed_order():
 def test_rule_canonical_str():
     r = rule(["b", "a"], ["c"], ["d"], ["e"])
     assert str(r) == "a | b :- c, not d, not not e."
+    r = rule(["b", "a"], ["y", "c", "x"], ["z", "d"], ["f", "e"])
+    assert str(r) == ("a | b :- c, x, y, not d, not z, "
+                      "not not e, not not f.")
     assert str(rule(["a"])) == "a."
     assert str(rule(pbody=["a"])) == ":- a."
     assert str(rule()) == ":-."

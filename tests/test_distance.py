@@ -155,6 +155,8 @@ def test_agrees_with_exhaustive_oracle_random(rs1, rs2):
     p1, p2 = Program(rs1), Program(rs2)
     d, _ = program_distance(p1, p2)
     assert d == oracles.naive_program_distance(p1, p2)
+    for r1, r2 in itertools.product(rs1, rs2):
+        assert rule_distance(r1, r2) == oracles.naive_rule_distance(r1, r2)
 
 
 def test_single_rule_programs():

@@ -164,10 +164,35 @@ def test_plain_rules_keep_their_identity(prog):
 def test_consumer_never_blocks_itself():
     # 3a combines a consumer with blockers of the *other* consumers only, so
     # on the stress family no raw rule is dropped by the final normal form
-    result, trace = forget_with_trace(stress_family(3), "q")
-    assert len(trace) == 303
-    assert sum(e.tag == "3a" for e in trace) == 12
-    assert len(result) == 303
+    for k, rules, family_3a in ((3, 303, 12), (5, 4671, 80)):
+        result, trace = forget_with_trace(stress_family(k), "q")
+        assert len(trace) == rules
+        assert sum(e.tag == "3a" for e in trace) == family_3a
+        assert len(result) == rules
+
+
+def test_trace_follows_blocker_order():
+    # within a family, rules come in the order of their blocker sets,
+    # each compared as its literals sorted by (depth, atom)
+    _, trace = forget_with_trace(stress_family(2), "q")
+    assert [str(e.rule) for e in trace if e.tag == "3a"] == [
+        "t0 :- d0, e, not d1, not not t0.",
+        "t0 :- d0, e, not not t0, not not t1.",
+        "t1 :- d1, e, not d0, not not t1.",
+        "t1 :- d1, e, not not t0, not not t1.",
+    ]
+    assert [str(e.rule) for e in trace
+            if e.tag == "4" and "v" in e.rule.head] == [
+        "v :- not b0, not b1, not e.",
+        "v :- not b0, not e, not not c1.",
+        "v :- not b0, not e, not not u1.",
+        "v :- not b1, not e, not not c0.",
+        "v :- not b1, not e, not not u0.",
+        "v :- not e, not not c0, not not c1.",
+        "v :- not e, not not c0, not not u1.",
+        "v :- not e, not not c1, not not u0.",
+        "v :- not e, not not u0, not not u1.",
+    ]
 
 
 # ---------------------------------------------------------------------------

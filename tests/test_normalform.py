@@ -1,13 +1,15 @@
 """Normal form: the four rewrite steps, their order, and preserved meaning."""
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspforget.core import Program
 from aspforget.ht_semantics import strongly_equivalent
-from aspforget.normalform import is_normal_form, normal_form
+from aspforget.normalform import _minimal_rules, is_normal_form, normal_form
 from aspforget.parser_io import parse_program, parse_rule
 
-from .conftest import programs as program_strategy
+from . import oracles
+from .conftest import programs as program_strategy, rules as rule_strategy
 
 
 def test_detects_duplicate_body_forms(prog):
@@ -64,6 +66,25 @@ def test_subsumption_keeps_different_body_forms(prog):
 def test_subsumed_rule_loses_to_its_witness(prog):
     p = prog("a :- b. a | c :- b, not d.")
     assert normal_form(p) == prog("a :- b.")
+
+
+@given(st.lists(rule_strategy, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_minimal_rules_agrees_with_pairwise_oracle(rules):
+    kept = _minimal_rules(rules)
+    assert len(kept) == len(set(kept))
+    assert set(kept) == oracles.naive_minimal_rules(rules)
+
+
+def test_minimal_rules_edge_cases(prog):
+    # the empty rule subsumes every other rule, constraints included
+    rules = prog(":-. a. :- b. a :- not b, not not c.").rules
+    assert _minimal_rules(rules) == [parse_rule(":-.")]
+    # rules of one size never subsume each other, however they overlap
+    rules = prog("a :- b. a :- c. b :- a. :- a, b. a | b. "
+                 "a :- not b. a :- not not b.").rules
+    assert set(_minimal_rules(rules)) == rules
+    assert _minimal_rules([]) == []
 
 
 def test_already_normal_program_is_fixed(prog):
