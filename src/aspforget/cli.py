@@ -242,12 +242,24 @@ def _cmd_verify_sp(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+def _non_negative(text: str) -> int:
+    """An argparse type: a count or limit, which may not be negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="aspforget",
         description="Forget atoms from extended logic programs while "
                     "preserving answer sets under any added rules.")
-    top.add_argument("--limit", type=int, default=None, metavar="N",
+    top.add_argument("--limit", type=_non_negative, default=None, metavar="N",
                      help="raise the signature-size guard (exponential cost)")
     top.add_argument("--quiet", action="store_true",
                      help="suppress text for boolean verdicts")
@@ -332,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--atom", metavar="Q", required=True)
     sp.add_argument("--depth", type=int, default=1, choices=(0, 1, 2))
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=25,
+    sp.add_argument("--count", type=_non_negative, default=25,
                     help="random corpus size when no file is given")
     sp.add_argument("--json", action="store_true")
 

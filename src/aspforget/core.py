@@ -179,8 +179,10 @@ class Program:
     def __init__(self, rules: Iterable[Rule] = (),
                  signature: Iterable[str] = ()):
         self._rules = frozenset(rules)
-        inferred = frozenset(a for r in self._rules for a in r.atoms)
-        self._signature = inferred | frozenset(signature)
+        atoms = set(signature)
+        for r in self._rules:
+            atoms.update(r.head, r.pbody, r.nbody, r.nnbody)
+        self._signature = frozenset(atoms)
 
     @property
     def rules(self) -> FrozenSet[Rule]:

@@ -44,15 +44,24 @@ def program_distance(p1: Program, p2: Program
 
     The cost is the total rule size minus twice the largest overlap of a
     matching, with every rule of the smaller program paired (exact, see
-    above); ties are broken by sorting both rule lists first.
+    above); ties are broken by sorting both rule lists first.  For the
+    overlap matrix each mask is packed into ``ceil(|index| / 64)`` uint64
+    words, and the shared counts are summed word by word from
+    ``np.bitwise_count`` of the ANDs of every row pair.
     """
     rules1, rules2 = (sorted(p.rules, key=rule_key) for p in (p1, p2))
     n1, n2 = len(rules1), len(rules2)
     index: dict = {}
     masks1, masks2 = ([element_mask(r, index) for r in rules]
                       for rules in (rules1, rules2))
-    shared = np.fromiter(((a & b).bit_count() for a in masks1 for b in masks2),
-                         dtype=np.int64, count=n1 * n2).reshape(n1, n2)
+    words = -(-len(index) // 64)
+    packed1, packed2 = (
+        np.frombuffer(b"".join(m.to_bytes(8 * words, "little") for m in masks),
+                      dtype="<u8").reshape(len(masks), words)
+        for masks in (masks1, masks2))
+    shared = np.zeros((n1, n2), dtype=np.int64)
+    for k in range(words):
+        shared += np.bitwise_count(packed1[:, k, None] & packed2[None, :, k])
     rows, cols = linear_sum_assignment(shared, maximize=True)
     total = sum(m.bit_count() for m in masks1 + masks2)
     matching = tuple((rules1[i], rules2[j]) for i, j in zip(rows, cols))

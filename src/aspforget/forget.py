@@ -19,6 +19,13 @@ at the end.  The result preserves the answer sets of the original program
 modulo q under every q-free context whenever any forgetting operator can
 (and is a sound over-approximation otherwise, see
 :func:`aspforget.semantic.satisfies_omega`).
+
+Derived rules are assembled from the four atom sets of a rule (head, P,
+N and NN for the positive, ``not`` and ``not not`` body parts), never
+from literal sets: ``not`` of head atoms adds them to N, ``not not`` of
+a body maps P to NN and keeps N and NN, and a blocker set is an (N, NN)
+pair.  The blocker sets of each distinct rule set are computed once per
+call.
 """
 
 from __future__ import annotations
@@ -28,8 +35,7 @@ from itertools import permutations
 from typing import FrozenSet, Iterable, List, Tuple
 
 from .asdual import as_dual
-from .core import (Literal, NAFNAF, POS, Program, Rule, make_rule, naf,
-                   nafnaf, rule_key)
+from .core import NAF, NAFNAF, Program, Rule, rule_key
 from .normalform import is_normal_form, normal_form
 
 
@@ -80,104 +86,113 @@ def _split(p: Program, q: str) -> Partition:
 
 def _derivations(part: Partition, q: str) -> List[TraceEntry]:
     """All rules emitted by the derivation families, with provenance."""
-
-    def hq(r: Rule) -> FrozenSet[str]:
-        return r.head - {q}
-
-    def bq(r: Rule) -> FrozenSet[Literal]:
-        return r.body_without(q)
+    qs = frozenset([q])
+    # per rule: head, P, N and NN with q dropped
+    cut = {r: (r.head - qs, r.pbody - qs, r.nbody - qs, r.nnbody - qs)
+           for r in part.r0 | part.r1 | part.r2 | part.r3 | part.r4}
+    blockers: dict = {}
 
     def srt(rules: Iterable[Rule]) -> List[Rule]:
         return sorted(rules, key=rule_key)
 
-    def duals(rules: FrozenSet[Rule]) -> List[FrozenSet[Literal]]:
-        # the order of ``key=sorted``, without Literal's dataclass ``__lt__``
-        return sorted(as_dual(q, srt(rules)),
-                      key=lambda d: sorted((l.depth, l.atom) for l in d))
+    def duals(rules: FrozenSet[Rule]
+              ) -> List[Tuple[FrozenSet[str], FrozenSet[str]]]:
+        # as (N, NN) pairs in the order of the literals' sorted
+        # (depth, atom) lists; one as_dual call per distinct rule set
+        if rules not in blockers:
+            pairs = [(frozenset(l.atom for l in d if l.depth == NAF),
+                      frozenset(l.atom for l in d if l.depth == NAFNAF))
+                     for d in as_dual(q, srt(rules))]
+            blockers[rules] = sorted(pairs, key=lambda d: (
+                [(NAF, a) for a in sorted(d[0])]
+                + [(NAFNAF, a) for a in sorted(d[1])]))
+        return blockers[rules]
 
-    r0s, r1s = srt(part.r0), srt(part.r1)
-    r2s, r3s = srt(part.r2), srt(part.r3)
-    r4s = srt(part.r4)
+    r0s, r2s, r3s, r4s = map(srt, (part.r0, part.r2, part.r3, part.r4))
     r14 = srt(part.r1 | part.r4)
     out: List[TraceEntry] = []
 
-    def emit(tag: str, head, body, *sources: Rule) -> None:
-        out.append(TraceEntry(tag, make_rule(head, body), sources))
+    def emit(tag: str, head, pbody, nbody, nnbody, *sources: Rule) -> None:
+        out.append(TraceEntry(tag, Rule(head, pbody, nbody, nnbody), sources))
 
     for r in srt(part.plain):
-        emit("plain", r.head, r.body, r)
+        out.append(TraceEntry("plain", r, (r,)))
 
     for r0 in r0s:
+        _, p0, n0, nn0 = cut[r0]
         # 1a: inline a producer into a positive consumer.
         for r4 in r4s:
-            emit("1a", r0.head | hq(r4), bq(r0) | bq(r4), r0, r4)
+            h4, p4, n4, nn4 = cut[r4]
+            emit("1a", r0.head | h4, p0 | p4, n0 | n4, nn0 | nn4, r0, r4)
         for r3 in r3s:
+            h3, p3, n3, nn3 = cut[r3]
             # 2a: the self-cycle fires because some r1/r4 rule supports it.
             for rp in r14:
-                emit("2a", r0.head | hq(r3),
-                     bq(r0) | bq(r3) | naf(hq(rp)) | nafnaf(bq(rp)),
-                     r0, r3, rp)
+                hp, pp, np_, nnp = cut[rp]
+                emit("2a", r0.head | h3, p0 | p3, n0 | n3 | hp | np_,
+                     nn0 | nn3 | pp | nnp, r0, r3, rp)
             # 3a: the self-cycle fires through the consumer's own head.
-            for d in duals((part.r0 | part.r2) - {r0}):
+            for dn, dnn in duals((part.r0 | part.r2) - {r0}):
                 for h in sorted(r0.head):
-                    emit("3a", r0.head,
-                         bq(r0) | {Literal(NAFNAF, h)} | d | bq(r3)
-                         | naf(hq(r3)),
-                         r0, r3)
+                    emit("3a", r0.head, p0 | p3, n0 | dn | n3 | h3,
+                         nn0 | {h} | dnn | nn3, r0, r3)
 
     for r2 in r2s:
+        _, p2, n2, nn2 = cut[r2]
         # 1b: a producer supports a double-negation consumer.
         for r4 in r4s:
-            emit("1b", r2.head, bq(r2) | naf(hq(r4)) | nafnaf(bq(r4)),
-                 r2, r4)
+            h4, p4, n4, nn4 = cut[r4]
+            emit("1b", r2.head, p2, n2 | h4 | n4, nn2 | p4 | nn4, r2, r4)
         for r3 in r3s:
+            h3, p3, n3, nn3 = cut[r3]
             # 2b: the self-cycle fires thanks to some r1/r4 rule.
             for rp in r14:
-                emit("2b", r2.head,
-                     bq(r2) | naf(hq(r3) | hq(rp))
-                     | nafnaf(bq(r3) | bq(rp)),
-                     r2, r3, rp)
+                hp, pp, np_, nnp = cut[rp]
+                emit("2b", r2.head, p2, n2 | h3 | hp | n3 | np_,
+                     nn2 | p3 | nn3 | pp | nnp, r2, r3, rp)
             # 3b: the self-cycle fires through the consumer's own head.
-            for d in duals((part.r0 | part.r2) - {r2}):
+            for dn, dnn in duals((part.r0 | part.r2) - {r2}):
                 for h in sorted(r2.head):
-                    emit("3b", r2.head,
-                         bq(r2) | naf(hq(r3))
-                         | nafnaf(bq(r3) | {Literal(POS, h)}) | d,
-                         r2, r3)
+                    emit("3b", r2.head, p2, n2 | h3 | n3 | dn,
+                         nn2 | p3 | nn3 | {h} | dnn, r2, r3)
 
     for rp in r14:
-        blocked = naf(bq(rp))
+        hp, pp, np_, nnp = cut[rp]
+        # ``not`` of a body literal of rp: P and NN go to N, N goes to NN
+        block_n, block_nn = pp | nnp, np_
+
+        def unblocked(rules):
+            return [(dn, dnn) for dn, dnn in duals(rules)
+                    if not (dn & block_n or dnn & block_nn)]
+
         # 4: q underivable because every producer is blocked.
-        for d in duals(part.r3 | part.r4):
-            if not d & blocked:
-                emit("4", hq(rp), bq(rp) | d, rp)
+        for dn, dnn in unblocked(part.r3 | part.r4):
+            emit("4", hp, pp, np_ | dn, nnp | dnn, rp)
         for r3 in r3s:
+            h3, p3, n3, nn3 = cut[r3]
             # 5: a self-cycle exists but each consumer absorbs it and the
             # plain producers are blocked.
             for r in srt(part.r0 | part.r2):
-                for d in duals(part.r4):
-                    if not d & blocked:
-                        emit("5", hq(rp),
-                             bq(rp) | naf(hq(r) | hq(r3))
-                             | nafnaf(bq(r) | bq(r3)) | d,
-                             rp, r3, r)
+                hr, pr, nr, nnr = cut[r]
+                n5, nn5 = np_ | hr | h3 | nr | n3, nnp | pr | nnr | p3 | nn3
+                for dn, dnn in unblocked(part.r4):
+                    emit("5", hp, pp, n5 | dn, nn5 | dnn, rp, r3, r)
             # 6: the self-cycle fires through this rule's own head.
-            for d in duals((part.r1 | part.r4) - {rp}):
-                for h in sorted(hq(rp)):
-                    emit("6", hq(rp),
-                         bq(rp) | naf(hq(r3))
-                         | nafnaf(bq(r3) | {Literal(POS, h)}) | d,
-                         rp, r3)
+            for dn, dnn in duals((part.r1 | part.r4) - {rp}):
+                for h in sorted(hp):
+                    emit("6", hp, pp, np_ | h3 | n3 | dn,
+                         nnp | p3 | nn3 | {h} | dnn, rp, r3)
 
     for r0 in r0s:
+        _, p0, n0, nn0 = cut[r0]
         # 7: two distinct self-cycles feed a consumer.
         for r3, r3b in permutations(r3s, 2):
-            for d in duals((part.r0 | part.r2) - {r0}):
+            h3, p3, n3, nn3 = cut[r3]
+            hb, pb, nb, nnb = cut[r3b]
+            for dn, dnn in duals((part.r0 | part.r2) - {r0}):
                 for h in sorted(r0.head):
-                    emit("7", r0.head | hq(r3),
-                         bq(r0) | bq(r3) | naf(hq(r3b))
-                         | nafnaf(bq(r3b) | {Literal(POS, h)}) | d,
-                         r0, r3, r3b)
+                    emit("7", r0.head | h3, p0 | p3, n0 | n3 | hb | nb | dn,
+                         nn0 | nn3 | pb | nnb | {h} | dnn, r0, r3, r3b)
     return out
 
 

@@ -29,7 +29,16 @@ def signature_limit(limit: Optional[int] = None) -> int:
     if limit is not None:
         return limit
     env = os.environ.get(_LIMIT_ENV)
-    return int(env) if env else DEFAULT_SIGNATURE_LIMIT
+    if not env:
+        return DEFAULT_SIGNATURE_LIMIT
+    try:
+        value = int(env)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{_LIMIT_ENV} must be a non-negative integer, "
+                         f"got {env!r}")
+    return value
 
 
 def check_signature(sigma: FrozenSet[str], limit: Optional[int] = None) -> None:

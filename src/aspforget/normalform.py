@@ -37,9 +37,9 @@ def is_normal_form(p: Program) -> bool:
 
 def normal_form(p: Program) -> Program:
     """The normal form of ``p``; signature is preserved."""
-    kept = [r for r in p.rules if not is_tautological(r)]
     rewritten = [Rule(r.head - r.nbody, r.pbody, r.nbody, r.nnbody - r.pbody)
-                 for r in kept]
+                 if r.head & r.nbody or r.nnbody & r.pbody else r
+                 for r in p.rules if not is_tautological(r)]
     return Program(_minimal_rules(rewritten), signature=p.signature)
 
 

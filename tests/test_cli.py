@@ -322,6 +322,26 @@ def test_signature_guard_exit(lp, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_signature_limit_variable(lp, capsys, monkeypatch, value):
+    monkeypatch.setenv("ASPFORGET_SIGNATURE_LIMIT", value)
+    assert run(capsys, "models", lp("a :- b.\n")) == (
+        2, "", f"aspforget: ASPFORGET_SIGNATURE_LIMIT must be a non-negative "
+               f"integer, got '{value}'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-sp", "--atom", "q", "--count", "-3"),
+    ("--limit", "-1", "models"),
+    ("--limit", "abc", "models"),
+])
+def test_negative_count_or_limit_is_a_usage_error(lp, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, lp(CHAIN)])
+    assert exc.value.code == 2
+    assert "argument --" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("forget", "--atom", "q"),                   # output fits the buffer
     ("models", "--signature", "a,b,c,d,e,f,g"),  # output overflows it

@@ -1,13 +1,14 @@
 """Rule and program distance: exact values, the oracle, witness validity."""
 
 import itertools
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspforget.core import Program, rule
+from aspforget.core import Program, element_mask, rule
 from aspforget.distance import program_distance, rule_distance, rule_size
 from aspforget.forget import forget
 from aspforget.parser_io import parse_program, parse_rule
@@ -116,15 +117,18 @@ def test_witness_cost_matches_reported(golden, small_corpus):
                forget(golden["disjunctive_mixed"], "q")),
               (stress, forget(stress, "q"))]
     for p1, p2 in pairs:
-        d, matching = program_distance(p1, p2)
-        matched1 = {m[0] for m in matching}
-        matched2 = {m[1] for m in matching}
-        assert len(matched1) == len(matching) == len(matched2)
-        assert matched1 <= p1.rules and matched2 <= p2.rules
-        cost = sum(rule_distance(r1, r2) for r1, r2 in matching)
-        cost += sum(rule_size(r) for r in p1.rules - matched1)
-        cost += sum(rule_size(r) for r in p2.rules - matched2)
-        assert cost == d
+        assert_witness_costs(p1, p2, *program_distance(p1, p2))
+
+
+def assert_witness_costs(p1, p2, d, matching):
+    matched1 = {m[0] for m in matching}
+    matched2 = {m[1] for m in matching}
+    assert len(matched1) == len(matching) == len(matched2)
+    assert matched1 <= p1.rules and matched2 <= p2.rules
+    cost = sum(rule_distance(r1, r2) for r1, r2 in matching)
+    cost += sum(rule_size(r) for r in p1.rules - matched1)
+    cost += sum(rule_size(r) for r in p2.rules - matched2)
+    assert cost == d
 
 
 def test_distance_allocates_no_padded_matrix():
@@ -146,6 +150,41 @@ def test_agrees_with_exhaustive_oracle(small_corpus):
     for p1, p2 in pairs:
         d, _ = program_distance(p1, p2)
         assert d == oracles.naive_program_distance(p1, p2)
+
+
+@pytest.mark.parametrize("words", [2, 3])
+def test_agrees_with_exhaustive_oracle_on_multi_word_masks(words):
+    # masks wider than 64 bits are packed into several uint64 words; the
+    # second program keeps most elements of the first, so the rules share
+    # elements in every word.  Ten pairs with an element index of exactly
+    # ``words`` words are checked.
+    rng = random.Random(words)
+    atoms = [f"x{i}" for i in range(60)]
+
+    def wide_program():
+        return Program(rule(*(rng.sample(atoms, rng.randint(2, 6 * words))
+                              for _ in range(4)))
+                       for _ in range(3))
+
+    def perturbed(p):
+        return Program(rule(*(rng.sample(sorted(part), len(part) - 1)
+                              + [rng.choice(atoms)]
+                              for part in (r.head, r.pbody, r.nbody, r.nnbody)))
+                       for r in p.rules)
+
+    checked = 0
+    while checked < 10:
+        p1 = wide_program()
+        p2 = perturbed(p1)
+        index: dict = {}
+        for r in sorted(p1.rules | p2.rules, key=str):
+            element_mask(r, index)
+        if -(-len(index) // 64) != words:
+            continue
+        d, matching = program_distance(p1, p2)
+        assert d == oracles.naive_program_distance(p1, p2)
+        assert_witness_costs(p1, p2, d, matching)
+        checked += 1
 
 
 @given(st.frozensets(rule_strategy, max_size=3),

@@ -1,5 +1,7 @@
 """The syntactic forgetting operator and its derivation machinery."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -274,6 +276,24 @@ def test_forget_minimizes_twice(golden, monkeypatch):
     calls.clear()
     forget_fast(golden["disjunctive_mixed"], "q")
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("k,calls", [(3, 8), (5, 12)])
+def test_forget_computes_blockers_once_per_rule_set(monkeypatch, k, calls):
+    # the derivation families ask for the blockers of the same rule sets
+    # again and again; each distinct set reaches as_dual once
+    # (the package's ``forget`` attribute is the function, not the module)
+    forget_module = sys.modules[forget.__module__]
+    seen = []
+    as_dual = forget_module.as_dual
+
+    def counting(q, rules):
+        seen.append(frozenset(rules))
+        return as_dual(q, rules)
+
+    monkeypatch.setattr(forget_module, "as_dual", counting)
+    forget(stress_family(k), "q")
+    assert len(seen) == len(set(seen)) == calls
 
 
 def test_equivalence_preserved_by_forgetting(prog):
