@@ -109,7 +109,7 @@ def _cmd_forget(args) -> int:
     if args.check_oracle:
         want = fsp_target_models(p, set(atoms), limit=args.limit)
         got = ht_models(result, want.sigma, limit=args.limit)
-        if got.members != want.members:
+        if got.by_y != want.by_y:
             print("oracle: MISMATCH between result models and target models",
                   file=sys.stderr)
             return 1
@@ -120,23 +120,23 @@ def _cmd_forget(args) -> int:
 def _cmd_models(args) -> int:
     want_ht = args.ht or not args.answer
     want_as = args.answer or not args.ht
-    pairs = ht_models(args.program, limit=args.limit)
-    ans = _by_size(answer_sets_from_pairs(pairs.members)) if want_as else []
+    models = ht_models(args.program, limit=args.limit)
+    ans = _by_size(answer_sets_from_pairs(models)) if want_as else []
 
     def payload():
-        out = {"signature": sorted(pairs.sigma)}
+        out = {"signature": sorted(models.sigma)}
         if want_ht:
             out["ht_models"] = sorted([sorted(m.x), sorted(m.y)]
-                                      for m in pairs.members)
+                                      for m in models.members)
         if want_as:
             out["answer_sets"] = ans
         return out
 
     def text():
-        yield f"signature: {_fmt_set(pairs.sigma)}\n"
+        yield f"signature: {_fmt_set(models.sigma)}\n"
         if want_ht:
             yield "ht-models:\n"
-            for x, y in sorted(pairs.members,
+            for x, y in sorted(models.members,
                                key=lambda m: (len(m[1]), sorted(m[1]),
                                               len(m[0]), sorted(m[0]))):
                 yield f"  <{_fmt_set(x)},{_fmt_set(y)}>\n"

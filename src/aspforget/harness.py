@@ -8,8 +8,10 @@ forgotten atom: exact equality when the obstruction criterion is false,
 superset inclusion otherwise.
 
 Unions with contexts are evaluated through the identity that the HT-models
-of a union are the intersection of the HT-models over a common signature,
-so each context costs one set intersection instead of a fresh enumeration.
+of a union are the intersection of the HT-models over a common signature.
+Each context's models are enumerated once into an :class:`HTModelSet`
+(there-world -> here-worlds), so a context costs one meet of two indexes,
+a per-there-world intersection, and its answer sets are read off the meet.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 from .core import Program, Rule, rule
 from .forget import forget
-from .ht_semantics import answer_sets_from_pairs, check_signature, ht_models
+from .ht_semantics import (HTModelSet, answer_sets_from_pairs, check_signature,
+                           ht_models)
 from .parser_io import parse_program
 from .semantic import _candidates
 
@@ -201,17 +204,19 @@ class SPReport:
 
 @lru_cache(maxsize=64)
 def _context_pairs(sigma_ctx: FrozenSet[str], universe: FrozenSet[str],
-                   depth: int):
-    return tuple((ctx, ht_models(ctx, universe).members)
-                 for ctx in enumerate_contexts(sigma_ctx, depth))
+                   depth: int, limit: Optional[int]):
+    return tuple((ctx, ht_models(ctx, universe))
+                 for ctx in enumerate_contexts(sigma_ctx, depth, limit))
 
 
 def _contexts(sigma_ctx: FrozenSet[str], universe: FrozenSet[str],
-              depth: int) -> Iterator[Tuple[Program, FrozenSet]]:
-    """The contexts of :func:`enumerate_contexts` with their HT-models, in
-    its order.  Depth 0 and 1 come from the cached tables; a depth-2 pair
-    is the intersection of its two single-rule tables, built on the fly."""
-    tables = _context_pairs(sigma_ctx, universe, 1 if depth == 2 else depth)
+              depth: int, limit: Optional[int]
+              ) -> Iterator[Tuple[Program, HTModelSet]]:
+    """The contexts of :func:`enumerate_contexts` with their HT-model
+    indexes over ``universe``, in its order.  Depth 0 and 1 come from the
+    cached tables; a depth-2 context's index is the meet of its two
+    single-rule indexes, built on the fly and not cached."""
+    tables = _context_pairs(sigma_ctx, universe, min(depth, 1), limit)
     yield from tables
     if depth == 2:
         singles = tables[1 << len(sigma_ctx):]
@@ -235,15 +240,14 @@ def verify_sp(p: Program, q: str, depth: int = 1,
     universe = p.signature | {q}
     models_p = ht_models(p, universe)
     omega = any(c.obstructs for c in _candidates(models_p, frozenset({q})))
-    pairs_p = models_p.members
-    pairs_f = ht_models(f, universe).members
+    models_f = ht_models(f, universe)
     failures = []
     checked = 0
-    for ctx, pairs_ctx in _contexts(universe - {q}, universe, depth):
+    for ctx, models_ctx in _contexts(universe - {q}, universe, depth, limit):
         checked += 1
         expected = frozenset(s - {q} for s in
-                             answer_sets_from_pairs(pairs_p & pairs_ctx))
-        actual = answer_sets_from_pairs(pairs_f & pairs_ctx)
+                             answer_sets_from_pairs(models_p & models_ctx))
+        actual = answer_sets_from_pairs(models_f & models_ctx)
         ok = expected <= actual if omega else expected == actual
         if not ok:
             failures.append(SPFailure(ctx, expected, actual))

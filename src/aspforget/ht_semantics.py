@@ -12,8 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import (Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional,
-                    Set)
+from typing import Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional
 
 from .core import Program, Rule
 
@@ -58,16 +57,29 @@ class HTInterpretation(NamedTuple):
 
 @dataclass(frozen=True)
 class HTModelSet:
-    """HT-models over a fixed signature."""
+    """HT-models over a fixed signature, indexed by there-world.
+
+    ``by_y[Y]`` is the set of every X with <X,Y> a model.  Every key Y is
+    a classical model, so Y is in ``by_y[Y]`` and no entry is empty; a
+    there-world with no model has no key.
+    """
 
     sigma: FrozenSet[str]
-    members: FrozenSet[HTInterpretation]
+    by_y: Dict[FrozenSet[str], FrozenSet[FrozenSet[str]]]
 
-    def __contains__(self, pair) -> bool:
-        return pair in self.members
+    @property
+    def members(self) -> FrozenSet[HTInterpretation]:
+        """The models as a flat set of pairs, built on each call."""
+        return frozenset(HTInterpretation(x, y)
+                         for y, xs in self.by_y.items() for x in xs)
 
-    def __len__(self) -> int:
-        return len(self.members)
+    def __and__(self, other: HTModelSet) -> HTModelSet:
+        """The models of the union of both programs, over the one signature
+        of both: per there-world the two share, the X common to both."""
+        theirs = other.by_y
+        return HTModelSet(self.sigma, {y: xs & theirs[y]
+                                       for y, xs in self.by_y.items()
+                                       if y in theirs})
 
 
 def subsets(atoms: Iterable[str]) -> Iterator[FrozenSet[str]]:
@@ -105,43 +117,30 @@ def ht_models(p: Program, sigma: Optional[Iterable[str]] = None,
     if not p.signature <= sig:
         raise ValueError("sigma must contain the program signature")
     check_signature(sig, limit)
-    members = []
+    by_y = {}
     rules = p.rules
     for y in subsets(sig):
         if not all(satisfies(y, r) for r in rules):
             continue
         positive = [(r.pbody, r.head) for r in rules
                     if not (r.nbody & y) and r.nnbody <= y]
-        for x in subsets(y):
-            if all(not pb <= x or hd & x for pb, hd in positive):
-                members.append(HTInterpretation(x, y))
-    return HTModelSet(sig, frozenset(members))
+        by_y[y] = frozenset(x for x in subsets(y)
+                            if all(not pb <= x or hd & x
+                                   for pb, hd in positive))
+    return HTModelSet(sig, by_y)
 
 
 def answer_sets(p: Program, limit: Optional[int] = None
                 ) -> FrozenSet[FrozenSet[str]]:
     """Answer sets: total HT-models <Y,Y> with no model <X,Y>, X strictly
     below Y."""
-    return answer_sets_from_pairs(ht_models(p, limit=limit).members)
+    return answer_sets_from_pairs(ht_models(p, limit=limit))
 
 
-def by_there(pairs: Iterable[HTInterpretation]
-             ) -> Dict[FrozenSet[str], Set[FrozenSet[str]]]:
-    """Index HT-pairs by their there-part: Y -> the set of X with <X,Y>."""
-    index: Dict[FrozenSet[str], Set[FrozenSet[str]]] = {}
-    for x, y in pairs:
-        index.setdefault(y, set()).add(x)
-    return index
-
-
-def answer_sets_from_pairs(pairs: Iterable[HTInterpretation]
-                           ) -> FrozenSet[FrozenSet[str]]:
-    """Extract answer sets from an HT-model set.
-
-    Since X <= Y in every pair, Y is an answer set exactly when the only
-    pair with second component Y is <Y,Y>.
-    """
-    return frozenset(y for y, xs in by_there(pairs).items() if xs == {y})
+def answer_sets_from_pairs(models: HTModelSet) -> FrozenSet[FrozenSet[str]]:
+    """The answer sets of an HT-model set: the there-worlds Y whose only
+    here-world is Y itself, i.e. whose index entry holds one X."""
+    return frozenset(y for y, xs in models.by_y.items() if len(xs) == 1)
 
 
 def strongly_equivalent(p1: Program, p2: Program,
@@ -153,8 +152,8 @@ def strongly_equivalent(p1: Program, p2: Program,
     sig = p1.signature | p2.signature
     if sigma is not None:
         sig |= frozenset(sigma)
-    return (ht_models(p1, sig, limit=limit).members
-            == ht_models(p2, sig, limit=limit).members)
+    return (ht_models(p1, sig, limit=limit).by_y
+            == ht_models(p2, sig, limit=limit).by_y)
 
 
 def equivalent(p1: Program, p2: Program, limit: Optional[int] = None) -> bool:
@@ -171,7 +170,8 @@ def v_exclusion(models, v: Iterable[str]):
     """
     vs = frozenset(v)
     if isinstance(models, HTModelSet):
-        members = frozenset(HTInterpretation(m.x - vs, m.y - vs)
-                            for m in models.members)
-        return HTModelSet(models.sigma - vs, members)
+        by_y: Dict[FrozenSet[str], FrozenSet[FrozenSet[str]]] = {}
+        for y, xs in models.by_y.items():
+            by_y[y - vs] = by_y.get(y - vs, frozenset()) | {x - vs for x in xs}
+        return HTModelSet(models.sigma - vs, by_y)
     return frozenset(frozenset(s) - vs for s in models)

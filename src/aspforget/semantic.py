@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .core import Program, Rule
-from .ht_semantics import (HTInterpretation, HTModelSet, by_there,
-                           check_signature, ht_models, subsets)
+from .ht_semantics import HTModelSet, check_signature, ht_models, subsets
 
 SetFamily = FrozenSet[FrozenSet[str]]
 
@@ -57,7 +56,7 @@ def _rel(by_y, v_atoms, y) -> SetFamily:
     rel = []
     for a in subsets(v_atoms):
         ya = y | a
-        if ya not in by_y or ya not in by_y[ya]:
+        if ya not in by_y:
             continue
         if any(a2 != a and (y | a2) in by_y[ya] for a2 in subsets(a)):
             continue
@@ -69,7 +68,7 @@ def _candidates(ht: HTModelSet, v: FrozenSet[str]
                 ) -> Iterator[OmegaCandidate]:
     """The evidence for each Y over the signature of ``ht`` minus ``v``,
     smallest Y first."""
-    by_y = by_there(ht.members)
+    by_y = ht.by_y
     v_atoms = v & ht.sigma
     for y in subsets(ht.sigma - v):
         rel = _rel(by_y, v_atoms, y)
@@ -89,8 +88,7 @@ def rel_sets(p: Program, v: Iterable[str], y: Iterable[str],
     ys = frozenset(y)
     if ys & vs:
         raise ValueError("y must be disjoint from the forgotten atoms")
-    by_y = by_there(ht_models(p, limit=limit).members)
-    return _rel(by_y, vs & p.signature, ys)
+    return _rel(ht_models(p, limit=limit).by_y, vs & p.signature, ys)
 
 
 def satisfies_omega(p: Program, v: Iterable[str],
@@ -116,12 +114,9 @@ def fsp_target_models(p: Program, v: Iterable[str],
     vs = frozenset(v)
     sigma2 = p.signature - vs
     check_signature(sigma2, limit)
-    members = []
-    for c in _candidates(ht_models(p, limit=limit), vs):
-        if c.families:
-            common = frozenset.intersection(*(fam for _, fam in c.families))
-            members.extend(HTInterpretation(x, c.y) for x in common)
-    return HTModelSet(sigma2, frozenset(members))
+    return HTModelSet(sigma2, {
+        c.y: frozenset.intersection(*(fam for _, fam in c.families))
+        for c in _candidates(ht_models(p, limit=limit), vs) if c.families})
 
 
 def f_sem(p: Program, v: Iterable[str],
@@ -134,14 +129,13 @@ def f_sem(p: Program, v: Iterable[str],
     """
     target = fsp_target_models(p, v, limit=limit)
     sigma2 = target.sigma
-    by_y = by_there(target.members)
+    by_y = target.by_y
     rules = []
     for y in subsets(sigma2):
-        havey = by_y.get(y, set())
-        if y not in havey:
+        if y not in by_y:
             rules.append(Rule(frozenset(), y, sigma2 - y, frozenset()))
             continue
         for x in subsets(y):
-            if x != y and x not in havey:
+            if x not in by_y[y]:
                 rules.append(Rule(y - x, x, sigma2 - y, y - x))
     return Program(rules, signature=sigma2)

@@ -9,6 +9,7 @@ from aspforget.harness import (GOLDEN_PROGRAMS, CorpusSpec, SPFailure,
                                verify_sp)
 from aspforget.ht_semantics import (SignatureLimitError, answer_sets,
                                     answer_sets_from_pairs, ht_models)
+from aspforget.parser_io import parse_program
 from aspforget.semantic import satisfies_omega
 
 
@@ -158,13 +159,13 @@ def test_verify_sp_depth2_matches_fresh_context_models(golden):
     # the real result and for a wrong one that fails under many contexts
     p = golden["positive_link"]
     universe = p.signature
-    pairs_p = ht_models(p, universe).members
+    pairs_p = ht_models(p, universe)
     contexts = enumerate_contexts(universe - {"q"}, 2)
     for result in (forget(p, "q"), Program()):
-        pairs_f = ht_models(result, universe).members
+        pairs_f = ht_models(result, universe)
         failures = []
         for ctx in contexts:
-            pairs_ctx = ht_models(ctx, universe).members
+            pairs_ctx = ht_models(ctx, universe)
             expected = frozenset(s - {"q"} for s in
                                  answer_sets_from_pairs(pairs_p & pairs_ctx))
             actual = answer_sets_from_pairs(pairs_f & pairs_ctx)
@@ -181,6 +182,16 @@ def test_verify_sp_signature_guard():
     with pytest.raises(SignatureLimitError):
         verify_sp(big, "x0")
     assert verify_sp(big, "x0", depth=0, limit=8).ok
+
+
+def test_verify_sp_passes_its_limit_to_the_contexts():
+    # seven context atoms exceed the default context limit of 6; an
+    # explicit limit must cover the context enumeration too
+    p = parse_program("x0. x1. x2. x3. x4. x5. x6. q :- x0.")
+    with pytest.raises(SignatureLimitError):
+        verify_sp(p, "q", depth=0)
+    report = verify_sp(p, "q", depth=0, limit=9)
+    assert report.ok and report.contexts_checked == 2 ** 7
 
 
 def test_verify_sp_omega_matches_criterion(small_corpus):

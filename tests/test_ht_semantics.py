@@ -2,16 +2,20 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspforget.core import Program
 from aspforget.ht_semantics import (DEFAULT_SIGNATURE_LIMIT,
                                     SignatureLimitError, answer_sets,
-                                    equivalent, ht_models, reduct,
-                                    strongly_equivalent, v_exclusion)
+                                    answer_sets_from_pairs, equivalent,
+                                    ht_models, reduct, strongly_equivalent,
+                                    v_exclusion)
 from aspforget.normalform import normal_form
 from aspforget.parser_io import parse_program
+from aspforget.semantic import fsp_target_models
 
 from . import oracles
+from .conftest import ATOM_POOL
 from .conftest import programs as program_strategy
 
 
@@ -150,3 +154,28 @@ def test_strong_equivalence_uses_union_signature(prog):
 def test_normal_form_strongly_equivalent_on_corpus(small_corpus):
     for p in small_corpus[:60]:
         assert strongly_equivalent(p, normal_form(p))
+
+
+def assert_indexed(models):
+    """The index invariant: each key Y is in the signature and in its own
+    entry (so no entry is empty), and every X of that entry lies below Y."""
+    for y, xs in models.by_y.items():
+        assert y <= models.sigma and y in xs
+        assert all(x <= y for x in xs)
+
+
+@given(program_strategy, program_strategy,
+       st.frozensets(st.sampled_from(ATOM_POOL)))
+@settings(max_examples=60, deadline=None)
+def test_meet_is_models_of_union(p1, p2, extra):
+    sigma = p1.signature | p2.signature | extra
+    m1, m2 = ht_models(p1, sigma), ht_models(p2, sigma)
+    meet = m1 & m2
+    union = p1.rules | p2.rules
+    assert meet.sigma == sigma
+    assert meet.members == oracles.ht_pairs(union, sigma)
+    assert answer_sets_from_pairs(meet) == oracles.stable_models(union, sigma)
+    whole = Program(union, signature=sigma)
+    for models in (m1, m2, meet, v_exclusion(meet, {"q"}),
+                   fsp_target_models(whole, {"q"})):
+        assert_indexed(models)
