@@ -109,7 +109,7 @@ def _cmd_forget(args) -> int:
     if args.check_oracle:
         want = fsp_target_models(p, set(atoms), limit=args.limit)
         got = ht_models(result, want.sigma, limit=args.limit)
-        if got.by_y != want.by_y:
+        if got.rows != want.rows:
             print("oracle: MISMATCH between result models and target models",
                   file=sys.stderr)
             return 1
@@ -136,10 +136,12 @@ def _cmd_models(args) -> int:
         yield f"signature: {_fmt_set(models.sigma)}\n"
         if want_ht:
             yield "ht-models:\n"
-            for x, y in sorted(models.members,
-                               key=lambda m: (len(m[1]), sorted(m[1]),
-                                              len(m[0]), sorted(m[0]))):
-                yield f"  <{_fmt_set(x)},{_fmt_set(y)}>\n"
+            labels = {}
+            for x, y in models.ordered_pairs():
+                for w in (x, y):
+                    if w not in labels:
+                        labels[w] = _fmt_set(w)
+                yield f"  <{labels[x]},{labels[y]}>\n"
         if want_as:
             yield "answer-sets:\n"
             for a in ans:

@@ -9,9 +9,11 @@ superset inclusion otherwise.
 
 Unions with contexts are evaluated through the identity that the HT-models
 of a union are the intersection of the HT-models over a common signature.
-Each context's models are enumerated once into an :class:`HTModelSet`
-(there-world -> here-worlds), so a context costs one meet of two indexes,
-a per-there-world intersection, and its answer sets are read off the meet.
+Each context's models are enumerated once into an :class:`HTModelSet`,
+whose rows are int masks (there-world -> bitset of here-worlds), so a
+context costs one AND per there-world shared with the program.  Its answer
+sets are the there-worlds whose AND holds that world alone; they are
+compared as masks, and decoded into atom sets only for a failure report.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 from .core import Program, Rule, rule
 from .forget import forget
-from .ht_semantics import (HTModelSet, answer_sets_from_pairs, check_signature,
-                           ht_models)
+from .ht_semantics import (HTModelSet, check_signature, ht_models,
+                           world_masks)
 from .parser_io import parse_program
 from .semantic import _candidates
 
@@ -215,7 +217,8 @@ def _contexts(sigma_ctx: FrozenSet[str], universe: FrozenSet[str],
     """The contexts of :func:`enumerate_contexts` with their HT-model
     indexes over ``universe``, in its order.  Depth 0 and 1 come from the
     cached tables; a depth-2 context's index is the meet of its two
-    single-rule indexes, built on the fly and not cached."""
+    single-rule indexes, one AND per shared there-world, built on the fly
+    and not cached."""
     tables = _context_pairs(sigma_ctx, universe, min(depth, 1), limit)
     yield from tables
     if depth == 2:
@@ -241,14 +244,20 @@ def verify_sp(p: Program, q: str, depth: int = 1,
     models_p = ht_models(p, universe)
     omega = any(c.obstructs for c in _candidates(models_p, frozenset({q})))
     models_f = ht_models(f, universe)
+    rp, rf = models_p.rows, models_f.rows
+    masks = world_masks(universe)
+    qbit = masks.bit[q]
+    decode = masks.decoder()
     failures = []
     checked = 0
     for ctx, models_ctx in _contexts(universe - {q}, universe, depth, limit):
         checked += 1
-        expected = frozenset(s - {q} for s in
-                             answer_sets_from_pairs(models_p & models_ctx))
-        actual = answer_sets_from_pairs(models_f & models_ctx)
+        rc = models_ctx.rows
+        expected = {y & ~qbit for y, r in rp.items()
+                    if y in rc and r & rc[y] == 1 << y}
+        actual = {y for y, r in rf.items() if y in rc and r & rc[y] == 1 << y}
         ok = expected <= actual if omega else expected == actual
         if not ok:
-            failures.append(SPFailure(ctx, expected, actual))
+            failures.append(SPFailure(ctx, frozenset(map(decode, expected)),
+                                      frozenset(map(decode, actual))))
     return SPReport(p, q, omega, checked, tuple(failures))

@@ -1,7 +1,13 @@
 """Here-and-there models, reducts, answer sets, strong equivalence.
 
-Everything here enumerates interpretations exhaustively and is meant as a
-trustworthy oracle at small signature sizes, not as a solver.  A guard
+Interpretations are int masks over ``sorted(sigma)``, atom i being bit i.
+An :class:`HTModelSet` stores, per classical model Y, one int whose bit X
+is set iff <X,Y> is an HT-model.  :func:`ht_models` computes those rows
+with whole-signature bit operations, one pass over the rules for the
+classical models and one AND per reduct rule for each row, so its cost
+follows the number of classical models rather than the 3^n pairs.  The
+exhaustive semantics still decide everything, and the module is meant as
+a trustworthy oracle at small signature sizes, not as a solver.  A guard
 rejects signatures above a configurable limit (default 12 atoms, override
 via the ``limit`` parameter or the ``ASPFORGET_SIGNATURE_LIMIT`` environment
 variable) so runaway enumerations fail fast with a clear error.
@@ -11,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional
 
@@ -55,30 +62,140 @@ class HTInterpretation(NamedTuple):
     y: FrozenSet[str]
 
 
+# The worlds of atom i within one byte, for i < 3: bit m set iff m has bit i.
+_LOW_PATTERNS = (0xAA, 0xCC, 0xF0)
+
+
+class WorldMasks:
+    """The world masks of one signature: atom i of ``sorted(sigma)`` is
+    bit i, and world m is the set of atoms whose bits m has.
+
+    ``with_[a]`` (``without[a]``) is a 2^n-bit int whose bit m is set iff
+    world m contains (lacks) ``a``.  They are built by repeating a byte
+    pattern, because building them by big-int arithmetic is quadratic.
+    """
+
+    def __init__(self, sigma: FrozenSet[str]):
+        atoms = sorted(sigma)
+        self.full = (1 << (1 << len(atoms))) - 1
+        nbytes = max(1, (1 << len(atoms)) >> 3)
+        self.bit: Dict[str, int] = {}
+        self.with_: Dict[str, int] = {}
+        self.without: Dict[str, int] = {}
+        for i, a in enumerate(atoms):
+            if i < 3:
+                pattern = bytes([_LOW_PATTERNS[i]])
+            else:
+                half = 1 << (i - 3)
+                pattern = bytes(half) + b"\xff" * half
+            mask = int.from_bytes(pattern * (nbytes // len(pattern)),
+                                  "little") & self.full
+            self.bit[a] = 1 << i
+            self.with_[a] = mask
+            self.without[a] = self.full ^ mask
+
+    def encode(self, atoms: Iterable[str]) -> int:
+        bit = self.bit
+        return sum(bit[a] for a in atoms)
+
+    def decoder(self):
+        """A function from world mask to frozenset, memoized per call."""
+        items = tuple(self.bit.items())
+        memo: Dict[int, FrozenSet[str]] = {}
+
+        def decode(m: int) -> FrozenSet[str]:
+            s = memo.get(m)
+            if s is None:
+                s = memo[m] = frozenset(a for a, b in items if m & b)
+            return s
+        return decode
+
+
+@lru_cache(maxsize=64)
+def world_masks(sigma: FrozenSet[str]) -> WorldMasks:
+    """The shared :class:`WorldMasks` of ``sigma``."""
+    return WorldMasks(sigma)
+
+
+def _bits(m: int) -> Iterator[int]:
+    """The positions of the set bits of ``m``, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _submasks(m: int) -> Iterator[int]:
+    """The submasks of ``m`` in :func:`subsets` order: by size, then by
+    atoms."""
+    bits = [1 << i for i in _bits(m)]
+    for k in range(len(bits) + 1):
+        for combo in combinations(bits, k):
+            yield sum(combo)
+
+
 @dataclass(frozen=True)
 class HTModelSet:
     """HT-models over a fixed signature, indexed by there-world.
 
-    ``by_y[Y]`` is the set of every X with <X,Y> a model.  Every key Y is
-    a classical model, so Y is in ``by_y[Y]`` and no entry is empty; a
-    there-world with no model has no key.
+    Worlds are masks over ``sorted(sigma)``.  ``rows[Y]`` is a bitset over
+    here-worlds: bit X is set iff <X,Y> is a model.  Every key Y is a
+    classical model, so bit Y is set in ``rows[Y]``, and every set bit X
+    is a submask of Y; a there-world with no model has no key.
+    ``by_y`` and ``members`` decode the rows into atom sets.
     """
 
     sigma: FrozenSet[str]
-    by_y: Dict[FrozenSet[str], FrozenSet[FrozenSet[str]]]
+    rows: Dict[int, int]
+
+    @classmethod
+    def from_by_y(cls, sigma: Iterable[str],
+                  by_y: Dict[FrozenSet[str], Iterable[FrozenSet[str]]]
+                  ) -> HTModelSet:
+        """Encode an index of atom sets, there-world -> here-worlds."""
+        sig = frozenset(sigma)
+        encode = world_masks(sig).encode
+        rows = {}
+        for y, xs in by_y.items():
+            row = 0
+            for x in xs:
+                row |= 1 << encode(x)
+            rows[encode(y)] = row
+        return cls(sig, rows)
+
+    @cached_property
+    def by_y(self) -> Dict[FrozenSet[str], FrozenSet[FrozenSet[str]]]:
+        """``by_y[Y]``: the set of every X with <X,Y> a model."""
+        decode = world_masks(self.sigma).decoder()
+        return {decode(y): frozenset(map(decode, _bits(row)))
+                for y, row in self.rows.items()}
 
     @property
     def members(self) -> FrozenSet[HTInterpretation]:
         """The models as a flat set of pairs, built on each call."""
-        return frozenset(HTInterpretation(x, y)
-                         for y, xs in self.by_y.items() for x in xs)
+        decode = world_masks(self.sigma).decoder()
+        return frozenset(HTInterpretation(decode(x), decode(y))
+                         for y, row in self.rows.items() for x in _bits(row))
+
+    def ordered_pairs(self) -> Iterator[HTInterpretation]:
+        """The models one at a time, Y in :func:`subsets` order and X in
+        that order within each Y."""
+        decode = world_masks(self.sigma).decoder()
+        rows = self.rows
+        for y in _submasks((1 << len(self.sigma)) - 1):
+            row = rows.get(y)
+            if row is None:
+                continue
+            for x in _submasks(y):
+                if row >> x & 1:
+                    yield HTInterpretation(decode(x), decode(y))
 
     def __and__(self, other: HTModelSet) -> HTModelSet:
         """The models of the union of both programs, over the one signature
-        of both: per there-world the two share, the X common to both."""
-        theirs = other.by_y
-        return HTModelSet(self.sigma, {y: xs & theirs[y]
-                                       for y, xs in self.by_y.items()
+        of both: per there-world the two share, the AND of the rows."""
+        theirs = other.rows
+        return HTModelSet(self.sigma, {y: row & theirs[y]
+                                       for y, row in self.rows.items()
                                        if y in theirs})
 
 
@@ -88,13 +205,6 @@ def subsets(atoms: Iterable[str]) -> Iterator[FrozenSet[str]]:
     for k in range(len(pool) + 1):
         for combo in combinations(pool, k):
             yield frozenset(combo)
-
-
-def satisfies(interp: FrozenSet[str], r: Rule) -> bool:
-    """Classical satisfaction, reading ``not`` as classical negation."""
-    body_holds = (r.pbody <= interp and not (r.nbody & interp)
-                  and r.nnbody <= interp)
-    return not body_holds or bool(r.head & interp)
 
 
 def reduct(p: Program, interp: FrozenSet[str]) -> Program:
@@ -111,23 +221,45 @@ def ht_models(p: Program, sigma: Optional[Iterable[str]] = None,
     """All HT-models <X,Y> of ``p`` over ``sigma`` (default: its signature).
 
     <X,Y> is a model iff Y satisfies the program classically and X
-    satisfies the reduct relative to Y.
+    satisfies the reduct relative to Y.  Per rule, ``xv`` holds the worlds
+    that violate its reduct (positive body true, head false) and ``yv``
+    those that violate it classically (``xv`` with the negative parts
+    passing).  The classical models are the worlds in no ``yv``; the row
+    of one is its submasks outside the ``xv`` of each rule in its reduct.
     """
     sig = frozenset(sigma) if sigma is not None else p.signature
     if not p.signature <= sig:
         raise ValueError("sigma must contain the program signature")
     check_signature(sig, limit)
-    by_y = {}
-    rules = p.rules
-    for y in subsets(sig):
-        if not all(satisfies(y, r) for r in rules):
-            continue
-        positive = [(r.pbody, r.head) for r in rules
-                    if not (r.nbody & y) and r.nnbody <= y]
-        by_y[y] = frozenset(x for x in subsets(y)
-                            if all(not pb <= x or hd & x
-                                   for pb, hd in positive))
-    return HTModelSet(sig, by_y)
+    worlds = world_masks(sig)
+    with_, without, encode = worlds.with_, worlds.without, worlds.encode
+    classical = worlds.full
+    reducts = []
+    for r in p.rules:
+        xv = worlds.full
+        for a in r.pbody:
+            xv &= with_[a]
+        for a in r.head:
+            xv &= without[a]
+        yv = xv
+        for a in r.nnbody:
+            yv &= with_[a]
+        for a in r.nbody:
+            yv &= without[a]
+        classical &= ~yv
+        reducts.append((encode(r.nbody), encode(r.nnbody), ~xv))
+    outside = [(worlds.bit[a], without[a]) for a in worlds.bit]
+    rows = {}
+    for y in _bits(classical):
+        row = (2 << y) - 1
+        for b, out in outside:
+            if not y & b:
+                row &= out
+        for nb, nnb, keep in reducts:
+            if not nb & y and nnb & y == nnb:
+                row &= keep
+        rows[y] = row
+    return HTModelSet(sig, rows)
 
 
 def answer_sets(p: Program, limit: Optional[int] = None
@@ -138,9 +270,11 @@ def answer_sets(p: Program, limit: Optional[int] = None
 
 
 def answer_sets_from_pairs(models: HTModelSet) -> FrozenSet[FrozenSet[str]]:
-    """The answer sets of an HT-model set: the there-worlds Y whose only
-    here-world is Y itself, i.e. whose index entry holds one X."""
-    return frozenset(y for y, xs in models.by_y.items() if len(xs) == 1)
+    """The answer sets of an HT-model set: the there-worlds Y whose row
+    holds Y alone."""
+    decode = world_masks(models.sigma).decoder()
+    return frozenset(decode(y) for y, row in models.rows.items()
+                     if row == 1 << y)
 
 
 def strongly_equivalent(p1: Program, p2: Program,
@@ -152,8 +286,8 @@ def strongly_equivalent(p1: Program, p2: Program,
     sig = p1.signature | p2.signature
     if sigma is not None:
         sig |= frozenset(sigma)
-    return (ht_models(p1, sig, limit=limit).by_y
-            == ht_models(p2, sig, limit=limit).by_y)
+    return (ht_models(p1, sig, limit=limit).rows
+            == ht_models(p2, sig, limit=limit).rows)
 
 
 def equivalent(p1: Program, p2: Program, limit: Optional[int] = None) -> bool:
@@ -173,5 +307,5 @@ def v_exclusion(models, v: Iterable[str]):
         by_y: Dict[FrozenSet[str], FrozenSet[FrozenSet[str]]] = {}
         for y, xs in models.by_y.items():
             by_y[y - vs] = by_y.get(y - vs, frozenset()) | {x - vs for x in xs}
-        return HTModelSet(models.sigma - vs, by_y)
+        return HTModelSet.from_by_y(models.sigma - vs, by_y)
     return frozenset(frozenset(s) - vs for s in models)

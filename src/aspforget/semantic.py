@@ -114,7 +114,7 @@ def fsp_target_models(p: Program, v: Iterable[str],
     vs = frozenset(v)
     sigma2 = p.signature - vs
     check_signature(sigma2, limit)
-    return HTModelSet(sigma2, {
+    return HTModelSet.from_by_y(sigma2, {
         c.y: frozenset.intersection(*(fam for _, fam in c.families))
         for c in _candidates(ht_models(p, limit=limit), vs) if c.families})
 

@@ -12,6 +12,8 @@ from aspforget.ht_semantics import (SignatureLimitError, answer_sets,
 from aspforget.parser_io import parse_program
 from aspforget.semantic import satisfies_omega
 
+from . import oracles
+
 
 def fs(*atoms):
     return frozenset(atoms)
@@ -175,6 +177,21 @@ def test_verify_sp_depth2_matches_fresh_context_models(golden):
         assert verify_sp(p, "q", depth=2, result=result) == want
     assert len(contexts) == 4 + 33 + 33 * 32 // 2
     assert failures
+
+
+def test_verify_sp_omega_failures_report_projected_answer_sets(golden):
+    # with the obstruction present only inclusion is required; the empty
+    # result still fails it, and each failure must carry the answer sets
+    # of the original (q removed) and of the result under that context
+    p = golden["self_cycle_mixed"]
+    universe = p.signature
+    report = verify_sp(p, "q", result=Program())
+    assert report.omega and len(report.failures) == 94
+    for f in report.failures:
+        want = oracles.stable_models(p.rules | f.context.rules, universe)
+        assert f.expected == {s - {"q"} for s in want}
+        assert f.actual == oracles.stable_models(f.context.rules, universe)
+        assert not f.expected <= f.actual
 
 
 def test_verify_sp_signature_guard():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspforget.core import Program
+from aspforget.core import Program, Rule
 from aspforget.ht_semantics import (DEFAULT_SIGNATURE_LIMIT,
                                     SignatureLimitError, answer_sets,
                                     answer_sets_from_pairs, equivalent,
@@ -158,7 +158,13 @@ def test_normal_form_strongly_equivalent_on_corpus(small_corpus):
 
 def assert_indexed(models):
     """The index invariant: each key Y is in the signature and in its own
-    entry (so no entry is empty), and every X of that entry lies below Y."""
+    entry (so no entry is empty), and every X of that entry lies below Y;
+    on the masks, bit Y is set in ``rows[Y]`` and every set bit X is a
+    submask of Y."""
+    worlds = 1 << len(models.sigma)
+    for y, row in models.rows.items():
+        assert 0 <= y < worlds and row >> y & 1
+        assert all(x & ~y == 0 for x in range(row.bit_length()) if row >> x & 1)
     for y, xs in models.by_y.items():
         assert y <= models.sigma and y in xs
         assert all(x <= y for x in xs)
@@ -179,3 +185,42 @@ def test_meet_is_models_of_union(p1, p2, extra):
     for models in (m1, m2, meet, v_exclusion(meet, {"q"}),
                    fsp_target_models(whole, {"q"})):
         assert_indexed(models)
+
+
+# Extra atoms sort between those of the strategy's pool, so that rule atoms
+# land on bits above the first byte of a world row.
+EXTRA_ATOMS = ("a0", "b0", "c0", "p", "r")
+
+
+def assert_matches_oracle(p, sigma):
+    models = ht_models(p, sigma)
+    assert models.members == oracles.ht_pairs(p.rules, sigma)
+    assert answer_sets_from_pairs(models) \
+        == oracles.stable_models(p.rules, sigma)
+    assert_indexed(models)
+
+
+@given(program_strategy, st.frozensets(st.sampled_from(EXTRA_ATOMS)))
+@settings(max_examples=40, deadline=None)
+def test_matches_naive_oracle_up_to_nine_atoms(p, extra):
+    assert_matches_oracle(p, p.signature | extra)
+
+
+def ring_program(n):
+    """Rules of every kind over atoms x0..x(n-1), each rule reaching the
+    next atoms round the ring."""
+    xs = [f"x{i}" for i in range(n)]
+    rules = []
+    for i in range(n):
+        a, b, c, d = (frozenset([xs[(i + k) % n]]) for k in range(4))
+        rules.append((Rule(a | b, d, c, frozenset()),
+                      Rule(a, frozenset(), frozenset(), b),
+                      Rule(frozenset(), a | b, c, frozenset()))[i % 3])
+    return Program(rules, signature=xs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 7, 8])
+def test_matches_naive_oracle_at_fixed_sizes(n):
+    p = ring_program(n)
+    assert_matches_oracle(p, p.signature)
+    assert_matches_oracle(Program(signature=p.signature), p.signature)
