@@ -10,8 +10,7 @@ and program distances, and a randomized verification harness.
 """
 
 from .asdual import as_dual
-from .core import (Literal, NAF, NAFNAF, POS, Program, Rule, check_atom,
-                   is_tautological, make_rule, naf, nafnaf, rule, signature)
+from .core import Program, Rule, check_atom, is_tautological, rule
 from .distance import program_distance, rule_distance, rule_size
 from .forget import (Partition, TraceEntry, forget, forget_fast,
                      forget_iterated, forget_with_trace, is_q_forgettable,
@@ -31,15 +30,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorpusSpec", "GOLDEN_PROGRAMS", "HTInterpretation", "HTModelSet",
-    "Literal", "NAF", "NAFNAF", "OmegaCandidate", "OmegaReport", "ParseError",
-    "Partition", "POS", "Program", "Rule", "SPFailure", "SPReport",
-    "SignatureLimitError", "TraceEntry", "answer_sets", "as_dual",
-    "check_atom", "enumerate_contexts", "equivalent", "f_sem", "forget",
-    "forget_fast", "forget_iterated", "forget_with_trace", "format_program",
-    "format_rule", "fsp_target_models", "generate_corpus", "ht_models",
-    "is_normal_form", "is_q_forgettable", "is_tautological", "make_rule",
-    "naf", "nafnaf", "normal_form", "parse_program",
+    "OmegaCandidate", "OmegaReport", "ParseError", "Partition", "Program",
+    "Rule", "SPFailure", "SPReport", "SignatureLimitError", "TraceEntry",
+    "answer_sets", "as_dual", "check_atom", "enumerate_contexts",
+    "equivalent", "f_sem", "forget", "forget_fast", "forget_iterated",
+    "forget_with_trace", "format_program", "format_rule",
+    "fsp_target_models", "generate_corpus", "ht_models", "is_normal_form",
+    "is_q_forgettable", "is_tautological", "normal_form", "parse_program",
     "parse_rule", "partition", "program_distance", "reduct", "rel_sets",
-    "rule", "rule_distance", "rule_size", "satisfies_omega", "signature",
+    "rule", "rule_distance", "rule_size", "satisfies_omega",
     "strongly_equivalent", "v_exclusion", "verify_sp",
 ]

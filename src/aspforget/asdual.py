@@ -1,36 +1,39 @@
 """Blocker sets: the ways to prevent every rule of a set from deriving q.
 
-``as_dual(q, rules)`` returns all sets of negated literals that, read as
-extra body conditions, jointly guarantee that no rule of ``rules`` can
-produce ``q``: for each rule either one of its body literals (without q) is
-refuted, or one of its other head atoms absorbs the derivation.  Formally
-every rule contributes either ``not l`` for some body literal ``l`` or
-``not not h`` for some head atom ``h`` other than q, with the usual
-simplification collapsing three ``not`` to one.
+``as_dual(q, rules)`` returns all blockers that, read as extra body
+conditions, jointly guarantee that no rule of ``rules`` can produce ``q``:
+for each rule either one of its body literals (without q) is refuted, or
+one of its other head atoms absorbs the derivation.  A blocker is an
+``(N, NN)`` pair of atom sets, the atoms it puts under ``not`` and under
+``not not``.  Each rule offers ``not a`` for every a in P u NN and
+``not not a`` for every a in N u H, q excluded: refuting ``not not a``
+takes ``not a``, since three ``not`` collapse to one.
 
-Corner cases follow from the definition: the empty rule set yields ``{{}}``
-(nothing to block), and a rule with no q-free body literal and no q-free
-head atom (for instance the fact ``q.``) has no blocker, so the result is
-empty.
+Corner cases follow from the definition: the empty rule set yields the one
+empty blocker (nothing to block), and a rule with no q-free body literal
+and no q-free head atom (for instance the fact ``q.``) has no option, so
+the result is empty.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import FrozenSet, Iterable
+from typing import FrozenSet, Iterable, Tuple
 
-from .core import Literal, NAFNAF, Rule
+from .core import Rule
+
+Blocker = Tuple[FrozenSet[str], FrozenSet[str]]
 
 
-def as_dual(q: str, rules: Iterable[Rule]) -> FrozenSet[FrozenSet[Literal]]:
-    """All blocker sets for ``q`` over ``rules``; rules are expected to be
-    in normal form.  Every returned literal has one or two ``not`` and
-    never mentions ``q``."""
-    option_sets = []
+def as_dual(q: str, rules: Iterable[Rule]) -> FrozenSet[Blocker]:
+    """All blockers for ``q`` over ``rules`` as ``(N, NN)`` pairs; rules
+    are expected to be in normal form.  No blocker mentions ``q``."""
+    qs = frozenset([q])
+    blockers = {(frozenset(), frozenset())}
     for r in rules:
-        options = {l.negate() for l in r.body_without(q)}
-        options |= {Literal(NAFNAF, h) for h in r.head - {q}}
-        if not options:
+        ns = (r.pbody | r.nnbody) - qs
+        nns = (r.nbody | r.head) - qs
+        if not ns and not nns:
             return frozenset()
-        option_sets.append(options)
-    return frozenset(frozenset(combo) for combo in product(*option_sets))
+        blockers = ({(n | {a}, nn) for n, nn in blockers for a in ns}
+                    | {(n, nn | {a}) for n, nn in blockers for a in nns})
+    return frozenset(blockers)

@@ -1,14 +1,16 @@
-"""Atoms, body literals, rules, and programs.
+"""Atoms, rules, and programs.
 
 Rules are of the form
 
     a1 | ... | ak :- b1, ..., bl, not c1, ..., not cm, not not d1, ..., not not dn.
 
-with all four components read as sets, so structural equality ignores order
-and duplicates.  ``Rule`` and ``Program`` are immutable and hashable, which
-lets rule sets and program collections behave like mathematical sets.  A
-program carries an explicit signature that is always a superset of the atoms
-occurring in its rules.
+and a :class:`Rule` is its four atom sets: the head H and the body parts P,
+N and NN (atoms under zero, one and two ``not``).  The parser, forgetting
+and printing all work on these sets, so structural equality ignores order
+and duplicates.  ``Rule`` and
+``Program`` are immutable and hashable, which lets rule sets and program
+collections behave like mathematical sets.  A program carries an explicit
+signature that is always a superset of the atoms occurring in its rules.
 """
 
 from __future__ import annotations
@@ -21,11 +23,6 @@ from typing import Dict, FrozenSet, Iterable, Iterator, Tuple
 
 ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
-# Literal depths: number of "not" prefixes.
-POS = 0
-NAF = 1
-NAFNAF = 2
-
 
 def check_atom(name: str) -> str:
     """Validate an atom name and return the interned string.
@@ -35,45 +32,6 @@ def check_atom(name: str) -> str:
     if name == "not" or not ATOM_RE.match(name):
         raise ValueError(f"invalid atom name: {name!r}")
     return sys.intern(name)
-
-
-@dataclass(frozen=True, order=True)
-class Literal:
-    """A body literal: an atom under zero, one, or two ``not``.
-
-    The field order makes literals sort positives first, then ``not a``,
-    then ``not not a``, each block alphabetically, which is also the
-    canonical printing order for bodies.
-    """
-
-    depth: int
-    atom: str
-
-    def __post_init__(self):
-        if self.depth not in (POS, NAF, NAFNAF):
-            raise ValueError(f"literal depth must be 0, 1 or 2: {self.depth}")
-
-    def negate(self) -> "Literal":
-        """Prefix one ``not``, simplifying ``not not not a`` to ``not a``."""
-        d = self.depth + 1
-        return Literal(d if d <= NAFNAF else NAF, self.atom)
-
-    def __str__(self) -> str:
-        return "not " * self.depth + self.atom
-
-
-def naf(literals: Iterable[Literal | str]) -> FrozenSet[Literal]:
-    """Apply ``not`` to every literal (atoms are taken at depth 0)."""
-    return frozenset(_lift(l).negate() for l in literals)
-
-
-def nafnaf(literals: Iterable[Literal | str]) -> FrozenSet[Literal]:
-    """Apply ``not not`` to every literal, with depth simplification."""
-    return frozenset(_lift(l).negate().negate() for l in literals)
-
-
-def _lift(l: Literal | str) -> Literal:
-    return l if isinstance(l, Literal) else Literal(POS, l)
 
 
 @dataclass(frozen=True)
@@ -86,15 +44,6 @@ class Rule:
     nnbody: FrozenSet[str]
 
     @cached_property
-    def body(self) -> FrozenSet[Literal]:
-        """The body as a single literal set."""
-        return frozenset(
-            [Literal(POS, a) for a in self.pbody]
-            + [Literal(NAF, a) for a in self.nbody]
-            + [Literal(NAFNAF, a) for a in self.nnbody]
-        )
-
-    @cached_property
     def atoms(self) -> FrozenSet[str]:
         """All atoms occurring in the rule."""
         return self.head | self.pbody | self.nbody | self.nnbody
@@ -103,13 +52,9 @@ class Rule:
     def is_constraint(self) -> bool:
         return not self.head
 
-    def body_without(self, q: str) -> FrozenSet[Literal]:
-        """The body literal set with every occurrence of ``q`` dropped."""
-        return frozenset(l for l in self.body if l.atom != q)
-
     def __str__(self) -> str:
         head = " | ".join(sorted(self.head))
-        # the order of ``Literal``'s (depth, atom), without building them
+        # positive, then ``not``, then ``not not``; alphabetical in each
         body = ", ".join([*sorted(self.pbody),
                           *("not " + a for a in sorted(self.nbody)),
                           *("not not " + a for a in sorted(self.nnbody))])
@@ -127,14 +72,6 @@ def rule(head: Iterable[str] = (), pbody: Iterable[str] = (),
                 frozenset(map(check_atom, pbody)),
                 frozenset(map(check_atom, nbody)),
                 frozenset(map(check_atom, nnbody)))
-
-
-def make_rule(head: Iterable[str], body: Iterable[Literal]) -> Rule:
-    """Build a rule from a head atom set and a body literal set."""
-    parts = (set(), set(), set())
-    for l in body:
-        parts[l.depth].add(l.atom)
-    return Rule(frozenset(head), *(frozenset(p) for p in parts))
 
 
 def element_mask(r: Rule, index: Dict[Tuple[int, str], int]) -> int:
@@ -221,7 +158,3 @@ class Program:
         rules = " ".join(str(r) for r in self)
         return f"<Program {len(self._rules)} rules: {rules}>"
 
-
-def signature(p: Program) -> FrozenSet[str]:
-    """The signature of a program."""
-    return p.signature

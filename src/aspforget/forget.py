@@ -21,11 +21,11 @@ modulo q under every q-free context whenever any forgetting operator can
 :func:`aspforget.semantic.satisfies_omega`).
 
 Derived rules are assembled from the four atom sets of a rule (head, P,
-N and NN for the positive, ``not`` and ``not not`` body parts), never
-from literal sets: ``not`` of head atoms adds them to N, ``not not`` of
-a body maps P to NN and keeps N and NN, and a blocker set is an (N, NN)
-pair.  The blocker sets of each distinct rule set are computed once per
-call.
+N and NN for the positive, ``not`` and ``not not`` body parts): ``not``
+of head atoms adds them to N, ``not not`` of a body maps P to NN and
+keeps N and NN, and a blocker from :func:`aspforget.asdual.as_dual` is
+an (N, NN) pair added to the rule's own.  The blockers of each distinct
+rule set are computed once per call.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from itertools import permutations
 from typing import FrozenSet, Iterable, List, Tuple
 
 from .asdual import as_dual
-from .core import NAF, NAFNAF, Program, Rule, rule_key
+from .core import Program, Rule, rule_key
 from .normalform import is_normal_form, normal_form
 
 
@@ -97,15 +97,12 @@ def _derivations(part: Partition, q: str) -> List[TraceEntry]:
 
     def duals(rules: FrozenSet[Rule]
               ) -> List[Tuple[FrozenSet[str], FrozenSet[str]]]:
-        # as (N, NN) pairs in the order of the literals' sorted
-        # (depth, atom) lists; one as_dual call per distinct rule set
+        # ordered by the blocker's literals as printed, ``not`` ones
+        # before ``not not`` ones; one as_dual call per distinct rule set
         if rules not in blockers:
-            pairs = [(frozenset(l.atom for l in d if l.depth == NAF),
-                      frozenset(l.atom for l in d if l.depth == NAFNAF))
-                     for d in as_dual(q, srt(rules))]
-            blockers[rules] = sorted(pairs, key=lambda d: (
-                [(NAF, a) for a in sorted(d[0])]
-                + [(NAFNAF, a) for a in sorted(d[1])]))
+            blockers[rules] = sorted(as_dual(q, rules), key=lambda d: (
+                [(1, a) for a in sorted(d[0])]
+                + [(2, a) for a in sorted(d[1])]))
         return blockers[rules]
 
     r0s, r2s, r3s, r4s = map(srt, (part.r0, part.r2, part.r3, part.r4))

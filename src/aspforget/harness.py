@@ -28,7 +28,7 @@ from .forget import forget
 from .ht_semantics import (HTModelSet, check_signature, ht_models,
                            world_masks)
 from .parser_io import parse_program
-from .semantic import _candidates
+from .semantic import _omega_rows
 
 GOLDEN_TEXTS = {
     "chain_pos": """
@@ -242,11 +242,11 @@ def verify_sp(p: Program, q: str, depth: int = 1,
     f = forget(p, q) if result is None else result
     universe = p.signature | {q}
     models_p = ht_models(p, universe)
-    omega = any(c.obstructs for c in _candidates(models_p, frozenset({q})))
-    models_f = ht_models(f, universe)
-    rp, rf = models_p.rows, models_f.rows
     masks = world_masks(universe)
     qbit = masks.bit[q]
+    omega = any(fams and not has_least
+                for _, fams, has_least in _omega_rows(models_p, qbit))
+    rp, rf = models_p.rows, ht_models(f, universe).rows
     decode = masks.decoder()
     failures = []
     checked = 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional
 
@@ -126,8 +126,8 @@ def _bits(m: int) -> Iterator[int]:
 
 
 def _submasks(m: int) -> Iterator[int]:
-    """The submasks of ``m`` in :func:`subsets` order: by size, then by
-    atoms."""
+    """The submasks of ``m``, smallest first, in atom order within a size
+    (the order of ``itertools.combinations`` over its bits)."""
     bits = [1 << i for i in _bits(m)]
     for k in range(len(bits) + 1):
         for combo in combinations(bits, k):
@@ -142,33 +142,11 @@ class HTModelSet:
     here-worlds: bit X is set iff <X,Y> is a model.  Every key Y is a
     classical model, so bit Y is set in ``rows[Y]``, and every set bit X
     is a submask of Y; a there-world with no model has no key.
-    ``by_y`` and ``members`` decode the rows into atom sets.
+    ``members`` and ``ordered_pairs`` decode the rows into atom sets.
     """
 
     sigma: FrozenSet[str]
     rows: Dict[int, int]
-
-    @classmethod
-    def from_by_y(cls, sigma: Iterable[str],
-                  by_y: Dict[FrozenSet[str], Iterable[FrozenSet[str]]]
-                  ) -> HTModelSet:
-        """Encode an index of atom sets, there-world -> here-worlds."""
-        sig = frozenset(sigma)
-        encode = world_masks(sig).encode
-        rows = {}
-        for y, xs in by_y.items():
-            row = 0
-            for x in xs:
-                row |= 1 << encode(x)
-            rows[encode(y)] = row
-        return cls(sig, rows)
-
-    @cached_property
-    def by_y(self) -> Dict[FrozenSet[str], FrozenSet[FrozenSet[str]]]:
-        """``by_y[Y]``: the set of every X with <X,Y> a model."""
-        decode = world_masks(self.sigma).decoder()
-        return {decode(y): frozenset(map(decode, _bits(row)))
-                for y, row in self.rows.items()}
 
     @property
     def members(self) -> FrozenSet[HTInterpretation]:
@@ -178,7 +156,7 @@ class HTModelSet:
                          for y, row in self.rows.items() for x in _bits(row))
 
     def ordered_pairs(self) -> Iterator[HTInterpretation]:
-        """The models one at a time, Y in :func:`subsets` order and X in
+        """The models one at a time, Y in :func:`_submasks` order and X in
         that order within each Y."""
         decode = world_masks(self.sigma).decoder()
         rows = self.rows
@@ -197,14 +175,6 @@ class HTModelSet:
         return HTModelSet(self.sigma, {y: row & theirs[y]
                                        for y, row in self.rows.items()
                                        if y in theirs})
-
-
-def subsets(atoms: Iterable[str]) -> Iterator[FrozenSet[str]]:
-    """All subsets, smallest first, alphabetical within a size."""
-    pool = sorted(atoms)
-    for k in range(len(pool) + 1):
-        for combo in combinations(pool, k):
-            yield frozenset(combo)
 
 
 def reduct(p: Program, interp: FrozenSet[str]) -> Program:
@@ -295,6 +265,27 @@ def equivalent(p1: Program, p2: Program, limit: Optional[int] = None) -> bool:
     return answer_sets(p1, limit=limit) == answer_sets(p2, limit=limit)
 
 
+def project(m: int, vmask: int) -> int:
+    """Cut the bits of ``vmask`` out of the world ``m``.  The bits left
+    keep their order, so a mask over ``sorted(sigma)`` becomes one over
+    ``sorted(sigma - V)``."""
+    while vmask:
+        i = vmask.bit_length() - 1
+        low = (1 << i) - 1
+        m = m & low | m >> 1 & ~low
+        vmask &= low
+    return m
+
+
+def _project_row(row: int, vmask: int) -> int:
+    """The here-worlds of ``row`` with the bits of ``vmask`` cut out, as a
+    row over the reduced worlds."""
+    out = 0
+    for x in _bits(row):
+        out |= 1 << project(x, vmask)
+    return out
+
+
 def v_exclusion(models, v: Iterable[str]):
     """Remove the atoms of ``v`` from every component of every member.
 
@@ -304,8 +295,10 @@ def v_exclusion(models, v: Iterable[str]):
     """
     vs = frozenset(v)
     if isinstance(models, HTModelSet):
-        by_y: Dict[FrozenSet[str], FrozenSet[FrozenSet[str]]] = {}
-        for y, xs in models.by_y.items():
-            by_y[y - vs] = by_y.get(y - vs, frozenset()) | {x - vs for x in xs}
-        return HTModelSet.from_by_y(models.sigma - vs, by_y)
+        vmask = world_masks(models.sigma).encode(vs & models.sigma)
+        rows: Dict[int, int] = {}
+        for y, row in models.rows.items():
+            py = project(y, vmask)
+            rows[py] = rows.get(py, 0) | _project_row(row, vmask)
+        return HTModelSet(models.sigma - vs, rows)
     return frozenset(frozenset(s) - vs for s in models)

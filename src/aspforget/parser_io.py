@@ -19,9 +19,9 @@ lines as the scanner does.  JSON output belongs to the command line front end.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
-from .core import ATOM_RE, Literal, Program, Rule, make_rule
+from .core import ATOM_RE, Program, Rule
 
 
 class ParseError(Exception):
@@ -119,7 +119,8 @@ class _Parser:
         self.pos += 1
         return tok[1]
 
-    def _literal(self) -> Literal:
+    def _literal(self, body: Tuple[Set[str], Set[str], Set[str]]) -> None:
+        """Read one body literal into P, N or NN by its ``not`` depth."""
         depth = 0
         while self._peek() is not None and self._peek()[:2] == ("atom", "not"):
             if depth == 2:
@@ -127,7 +128,7 @@ class _Parser:
                             "it collapses to 'not a', so write that")
             self.pos += 1
             depth += 1
-        return Literal(depth, self._take_atom())
+        body[depth].add(self._take_atom())
 
     def _rule(self) -> Rule:
         head: List[str] = []
@@ -137,19 +138,19 @@ class _Parser:
             while self._peek() and self._peek()[1] == "|":
                 self.pos += 1
                 head.append(self._take_atom())
-        body: List[Literal] = []
+        body = (set(), set(), set())
         tok = self._peek()
         if tok is not None and tok[1] == ":-":
             self.pos += 1
             if self._peek() is not None and self._peek()[1] != ".":
-                body.append(self._literal())
+                self._literal(body)
                 while self._peek() is not None and self._peek()[1] == ",":
                     self.pos += 1
-                    body.append(self._literal())
+                    self._literal(body)
         elif not head and (tok is None or tok[1] != "."):
             self._error("expected a rule")
         self._take_punct(".")
-        return make_rule(head, body)
+        return Rule(frozenset(head), *map(frozenset, body))
 
     def program(self) -> Program:
         rules = []

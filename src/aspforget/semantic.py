@@ -16,15 +16,26 @@ guarantee.
 ``f_sem`` realizes the target models by brute force, emitting one rule per
 missing pair (a counter-model construction).  It is a correctness yardstick
 and deliberately performs no simplification, so its output is large.
+
+All of this runs on the rows of :func:`ht_models` (worlds as int masks, see
+:class:`HTModelSet`): a family is the row of Y u A with the V bits cut out
+by :func:`project`, so it is a row over the reduced signature, the least
+family test is a submask test, and the target models are the AND of the
+families.  Atom sets appear only at the edges: in the evidence of
+:func:`satisfies_omega` and :func:`rel_sets` and in the rules of
+:func:`f_sem`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
+from functools import reduce
+from operator import and_
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .core import Program, Rule
-from .ht_semantics import HTModelSet, check_signature, ht_models, subsets
+from .ht_semantics import (HTModelSet, _bits, _project_row, _submasks,
+                           check_signature, ht_models, project, world_masks)
 
 SetFamily = FrozenSet[FrozenSet[str]]
 
@@ -52,32 +63,30 @@ class OmegaReport:
     candidates: Tuple[OmegaCandidate, ...]
 
 
-def _rel(by_y, v_atoms, y) -> SetFamily:
-    rel = []
-    for a in subsets(v_atoms):
-        ya = y | a
-        if ya not in by_y:
-            continue
-        if any(a2 != a and (y | a2) in by_y[ya] for a2 in subsets(a)):
-            continue
-        rel.append(a)
-    return frozenset(rel)
+def _extensions(rows: Dict[int, int], y: int, vmask: int
+                ) -> Iterator[Tuple[int, int]]:
+    """The minimal extensions A of the world ``y`` into ``vmask``, with the
+    row of Y u A: Y u A is a classical model, and no A' strictly inside A
+    has <Y u A', Y u A> as a model."""
+    for a in _submasks(vmask):
+        row = rows.get(y | a)
+        if row is not None and not any(row >> (y | b) & 1
+                                       for b in _submasks(a) if b != a):
+            yield a, row
 
 
-def _candidates(ht: HTModelSet, v: FrozenSet[str]
-                ) -> Iterator[OmegaCandidate]:
-    """The evidence for each Y over the signature of ``ht`` minus ``v``,
-    smallest Y first."""
-    by_y = ht.by_y
-    v_atoms = v & ht.sigma
-    for y in subsets(ht.sigma - v):
-        rel = _rel(by_y, v_atoms, y)
-        families = tuple((a, frozenset(x - v for x in by_y[y | a]))
-                         for a in sorted(rel, key=sorted))
-        distinct = {fam for _, fam in families}
-        has_least = any(all(m <= other for other in distinct)
-                        for m in distinct)
-        yield OmegaCandidate(y, rel, families, has_least)
+def _omega_rows(ht: HTModelSet, vmask: int
+                ) -> Iterator[Tuple[int, List[Tuple[int, int]], bool]]:
+    """Per world Y of ``ht`` without the bits of ``vmask``, smallest Y
+    first: Y, its minimal extensions A each with its family (a row over
+    the reduced worlds), and whether some family lies inside all others."""
+    rows = ht.rows
+    full = (1 << len(ht.sigma)) - 1
+    for y in _submasks(full & ~vmask):
+        fams = [(a, _project_row(row, vmask))
+                for a, row in _extensions(rows, y, vmask)]
+        has_least = any(all(m & ~o == 0 for _, o in fams) for _, m in fams)
+        yield y, fams, has_least
 
 
 def rel_sets(p: Program, v: Iterable[str], y: Iterable[str],
@@ -88,7 +97,13 @@ def rel_sets(p: Program, v: Iterable[str], y: Iterable[str],
     ys = frozenset(y)
     if ys & vs:
         raise ValueError("y must be disjoint from the forgotten atoms")
-    return _rel(ht_models(p, limit=limit).by_y, vs & p.signature, ys)
+    rows = ht_models(p, limit=limit).rows
+    if not ys <= p.signature:
+        return frozenset()
+    masks = world_masks(p.signature)
+    decode = masks.decoder()
+    return frozenset(decode(a) for a, _ in _extensions(
+        rows, masks.encode(ys), masks.encode(vs & p.signature)))
 
 
 def satisfies_omega(p: Program, v: Iterable[str],
@@ -100,10 +115,21 @@ def satisfies_omega(p: Program, v: Iterable[str],
     """
     vs = frozenset(v)
     check_signature(p.signature - vs, limit)
-    candidates = tuple(_candidates(ht_models(p, limit=limit), vs))
+    ht = ht_models(p, limit=limit)
+    masks = world_masks(ht.sigma)
+    decode = masks.decoder()
+    decode_reduced = world_masks(ht.sigma - vs).decoder()
+    candidates = []
+    for y, fams, has_least in _omega_rows(ht, masks.encode(vs & ht.sigma)):
+        families = sorted(((decode(a), frozenset(map(decode_reduced,
+                                                      _bits(fam))))
+                           for a, fam in fams), key=lambda f: sorted(f[0]))
+        candidates.append(OmegaCandidate(
+            decode(y), frozenset(a for a, _ in families), tuple(families),
+            has_least))
     witness = next((c.y for c in candidates if c.obstructs), None)
     return witness is not None, OmegaReport(witness is not None, witness,
-                                            candidates)
+                                            tuple(candidates))
 
 
 def fsp_target_models(p: Program, v: Iterable[str],
@@ -114,9 +140,11 @@ def fsp_target_models(p: Program, v: Iterable[str],
     vs = frozenset(v)
     sigma2 = p.signature - vs
     check_signature(sigma2, limit)
-    return HTModelSet.from_by_y(sigma2, {
-        c.y: frozenset.intersection(*(fam for _, fam in c.families))
-        for c in _candidates(ht_models(p, limit=limit), vs) if c.families})
+    ht = ht_models(p, limit=limit)
+    vmask = world_masks(ht.sigma).encode(vs & ht.sigma)
+    return HTModelSet(sigma2, {
+        project(y, vmask): reduce(and_, (fam for _, fam in fams))
+        for y, fams, _ in _omega_rows(ht, vmask) if fams})
 
 
 def f_sem(p: Program, v: Iterable[str],
@@ -129,13 +157,17 @@ def f_sem(p: Program, v: Iterable[str],
     """
     target = fsp_target_models(p, v, limit=limit)
     sigma2 = target.sigma
-    by_y = target.by_y
+    decode = world_masks(sigma2).decoder()
+    full = (1 << len(sigma2)) - 1
     rules = []
-    for y in subsets(sigma2):
-        if y not in by_y:
-            rules.append(Rule(frozenset(), y, sigma2 - y, frozenset()))
+    for y in _submasks(full):
+        ys, rest = decode(y), decode(full & ~y)
+        row = target.rows.get(y)
+        if row is None:
+            rules.append(Rule(frozenset(), ys, rest, frozenset()))
             continue
-        for x in subsets(y):
-            if x not in by_y[y]:
-                rules.append(Rule(y - x, x, sigma2 - y, y - x))
+        for x in _submasks(y):
+            if not row >> x & 1:
+                gap = decode(y & ~x)
+                rules.append(Rule(gap, decode(x), rest, gap))
     return Program(rules, signature=sigma2)

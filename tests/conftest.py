@@ -39,6 +39,10 @@ ATOM_POOL = ("a", "b", "c", "q")
 atoms = st.sampled_from(ATOM_POOL)
 atom_sets = st.frozensets(atoms, max_size=2)
 
+# Extra atoms sort between those of the pool, so that widening a program by
+# them moves its atoms onto bits above the first byte of a world row.
+EXTRA_ATOMS = ("a0", "b0", "c0", "p", "r")
+
 rules = st.builds(Rule, atom_sets, atom_sets, atom_sets, atom_sets)
 programs = st.builds(lambda rs: Program(rs), st.frozensets(rules, max_size=4))
 

@@ -1,10 +1,11 @@
 """Slow, definition-literal oracles the tests freeze expectations against.
 
-Nothing here reuses the library's algorithms.  Satisfaction, reducts and
-model enumeration are restated from scratch in the most naive way
-possible, subsumption compares every pair of rules, and program
-distance enumerates every partial injective mapping.  Keep these dumb:
-their only job is to be obviously correct.
+Nothing here reuses the library's algorithms.  Satisfaction, reducts,
+model enumeration, the obstruction's families and the target models are
+restated from scratch in the most naive way possible, subsumption
+compares every pair of rules, and program distance enumerates every
+partial injective mapping.  Keep these dumb: their only job is to be
+obviously correct.
 """
 
 from itertools import combinations, permutations
@@ -51,6 +52,49 @@ def stable_models(rules, sigma):
     return {y for (x, y) in pairs
             if x == y and not any(x2 < y and (x2, y) in pairs
                                   for x2 in powerset(y))}
+
+
+def omega_families(rules, sigma, v):
+    """Per Y over sigma - v, smallest first: the minimal extensions A of Y
+    into v with <Y u A, Y u A> a model, each mapped to its family, the
+    here-worlds of Y u A with v removed."""
+    pairs = ht_pairs(rules, sigma)
+    here = {}
+    for x, y in pairs:
+        here.setdefault(y, set()).add(x)
+    v = v & sigma
+    out = []
+    for y in powerset(sigma - v):
+        fams = {}
+        for a in powerset(v):
+            if (y | a, y | a) not in pairs:
+                continue
+            if any(a2 < a and (y | a2, y | a) in pairs for a2 in powerset(a)):
+                continue
+            fams[a] = frozenset(x - v for x in here[y | a])
+        out.append((y, fams))
+    return out
+
+
+def target_pairs(rules, sigma, v):
+    """The target models: for each Y with some family, the here-worlds in
+    every one of them."""
+    out = set()
+    for y, fams in omega_families(rules, sigma, v):
+        if fams:
+            common = frozenset.intersection(*fams.values())
+            out |= {(x, y) for x in common}
+    return out
+
+
+def omega(rules, sigma, v):
+    """The first Y whose families are non-empty with no family inside all
+    the others, or None."""
+    for y, fams in omega_families(rules, sigma, v):
+        if fams and not any(all(m <= o for o in fams.values())
+                            for m in fams.values()):
+            return y
+    return None
 
 
 def naive_minimal_rules(rules):

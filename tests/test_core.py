@@ -1,11 +1,11 @@
-"""Structural layer: literals, rules, programs."""
+"""Structural layer: atoms, rules, programs, and the package exports."""
 
 import pytest
 from hypothesis import given
 
-from aspforget.core import (NAF, NAFNAF, POS, Literal, Program, Rule,
-                            check_atom, is_tautological, make_rule, naf,
-                            nafnaf, rule, rule_key, signature)
+import aspforget
+from aspforget.core import (Program, Rule, check_atom, is_tautological, rule,
+                            rule_key)
 from aspforget.parser_io import parse_program, parse_rule
 
 from .conftest import rules as rule_strategy
@@ -21,23 +21,6 @@ def test_check_atom_accepts_identifiers():
 def test_check_atom_rejects(bad):
     with pytest.raises(ValueError):
         check_atom(bad)
-
-
-def test_negation_depth_caps_at_two():
-    a = Literal(POS, "a")
-    n1 = a.negate()
-    n2 = n1.negate()
-    assert n1 == Literal(NAF, "a")
-    assert n2 == Literal(NAFNAF, "a")
-    # a triple negation collapses back to a single one
-    assert n2.negate() == n1
-    assert n2.negate().negate() == n2
-
-
-def test_literal_ordering_groups_by_form():
-    ls = sorted([Literal(NAFNAF, "a"), Literal(POS, "b"),
-                 Literal(NAF, "a"), Literal(POS, "a")])
-    assert [str(l) for l in ls] == ["a", "b", "not a", "not not a"]
 
 
 def test_rule_equality_ignores_listed_order():
@@ -57,26 +40,18 @@ def test_rule_canonical_str():
     assert str(rule()) == ":-."
 
 
-def test_make_rule_splits_body_forms():
-    r = make_rule(["a"], [Literal(POS, "b"), Literal(NAF, "c"),
-                          Literal(NAFNAF, "d")])
-    assert r == rule(["a"], ["b"], ["c"], ["d"])
-
-
 def test_rule_accessors():
     r = rule(["a", "q"], ["b"], ["q"], ["c"])
-    assert r.body_without("q") == frozenset({Literal(POS, "b"),
-                                             Literal(NAFNAF, "c")})
     assert r.atoms == frozenset({"a", "b", "c", "q"})
     assert not r.is_constraint
     assert rule().is_constraint
 
 
 def test_signature_examples(prog):
-    assert signature(prog("a :- b.")) == {"a", "b"}
-    assert signature(Program()) == frozenset()
+    assert prog("a :- b.").signature == {"a", "b"}
+    assert Program().signature == frozenset()
     p = prog("t :- q. v :- not q. q :- s. q :- w.")
-    assert signature(p) == {"t", "q", "v", "s", "w"}
+    assert p.signature == {"t", "q", "v", "s", "w"}
 
 
 def test_tautology_cases(prog):
@@ -117,7 +92,9 @@ def test_tautology_detection_matches_definition(r):
     assert is_tautological(r) == expected
 
 
-def test_helper_literal_sets():
-    assert naf(["a", Literal(POS, "b")]) == {Literal(NAF, "a"),
-                                             Literal(NAF, "b")}
-    assert nafnaf(["a"]) == {Literal(NAFNAF, "a")}
+def test_every_export_resolves():
+    missing = [n for n in aspforget.__all__ if not hasattr(aspforget, n)]
+    assert missing == []
+    namespace = {}
+    exec("from aspforget import *", namespace)
+    assert set(aspforget.__all__) <= set(namespace)

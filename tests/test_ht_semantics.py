@@ -15,7 +15,7 @@ from aspforget.parser_io import parse_program
 from aspforget.semantic import fsp_target_models
 
 from . import oracles
-from .conftest import ATOM_POOL
+from .conftest import ATOM_POOL, EXTRA_ATOMS
 from .conftest import programs as program_strategy
 
 
@@ -93,6 +93,13 @@ def test_v_exclusion_ht_models(prog):
     assert out.sigma == frozenset({"a"})
     assert {(x, y) for x, y in out.members} \
         == {(frozenset({"a"}), frozenset({"a"}))}
+    # two atoms cut from mid-row: b is bit 1 and q bit 3 of a..r
+    m = ht_models(prog("q. a :- q. r :- not b. c :- r, not not q."))
+    out = v_exclusion(m, {"b", "q"})
+    assert out.sigma == frozenset({"a", "c", "r"})
+    assert out.members == {(x - {"b", "q"}, y - {"b", "q"})
+                           for x, y in m.members}
+    assert_indexed(out)
 
 
 def test_v_exclusion_collapses_duplicates():
@@ -157,17 +164,14 @@ def test_normal_form_strongly_equivalent_on_corpus(small_corpus):
 
 
 def assert_indexed(models):
-    """The index invariant: each key Y is in the signature and in its own
-    entry (so no entry is empty), and every X of that entry lies below Y;
-    on the masks, bit Y is set in ``rows[Y]`` and every set bit X is a
-    submask of Y."""
+    """The index invariant: each key Y is a world of the signature and in
+    its own entry (so no entry is empty), and every X of that entry lies
+    below Y; on the masks, bit Y is set in ``rows[Y]`` and every set bit X
+    is a submask of Y."""
     worlds = 1 << len(models.sigma)
     for y, row in models.rows.items():
         assert 0 <= y < worlds and row >> y & 1
         assert all(x & ~y == 0 for x in range(row.bit_length()) if row >> x & 1)
-    for y, xs in models.by_y.items():
-        assert y <= models.sigma and y in xs
-        assert all(x <= y for x in xs)
 
 
 @given(program_strategy, program_strategy,
@@ -186,10 +190,6 @@ def test_meet_is_models_of_union(p1, p2, extra):
                    fsp_target_models(whole, {"q"})):
         assert_indexed(models)
 
-
-# Extra atoms sort between those of the strategy's pool, so that rule atoms
-# land on bits above the first byte of a world row.
-EXTRA_ATOMS = ("a0", "b0", "c0", "p", "r")
 
 
 def assert_matches_oracle(p, sigma):

@@ -1,7 +1,8 @@
 """Obstruction criterion, target model sets, counter-model construction."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aspforget.core import Program
 from aspforget.distance import rule_size
@@ -11,6 +12,8 @@ from aspforget.parser_io import parse_program
 from aspforget.semantic import (f_sem, fsp_target_models, rel_sets,
                                 satisfies_omega)
 
+from . import oracles
+from .conftest import ATOM_POOL, EXTRA_ATOMS
 from .conftest import programs as program_strategy
 
 
@@ -96,6 +99,34 @@ def test_unobstructed_does_not_imply_forgettable(golden):
     p = golden["self_cycle_pos"]
     assert not is_q_forgettable(p, "q")
     assert not satisfies_omega(p, {"q"})[0]
+
+
+@given(program_strategy, st.frozensets(st.sampled_from(EXTRA_ATOMS),
+                                       max_size=3),
+       st.frozensets(st.sampled_from(ATOM_POOL), min_size=1, max_size=2))
+@settings(max_examples=60, deadline=None)
+# random draws seldom give one Y two families; pin an obstruction and two
+# nested families
+@example(parse_program("a :- b. b :- not not b. q :- not b, not c, "
+                       "not not a."), frozenset({"a0", "p"}), frozenset({"b"}))
+@example(parse_program("a :- b, not c, not not a. b | q."),
+         frozenset({"b0"}), frozenset({"b", "q"}))
+def test_omega_and_target_match_naive_oracle(p, extra, v):
+    # the extra atoms put forgotten bits mid-row and kept atoms past bit 2
+    p = p.widen(extra)
+    sigma = p.signature
+    want = oracles.omega_families(p.rules, sigma, v)
+    verdict, report = satisfies_omega(p, v)
+    assert report.witness == oracles.omega(p.rules, sigma, v)
+    assert verdict == (report.witness is not None)
+    assert [(c.y, dict(c.families)) for c in report.candidates] == want
+    for c, (y, fams) in zip(report.candidates, want):
+        assert [a for a, _ in c.families] == sorted(fams, key=sorted)
+        assert c.rel == rel_sets(p, v, y) == set(fams)
+    target = fsp_target_models(p, v)
+    assert target.sigma == sigma - v
+    assert {(x, y) for x, y in target.members} \
+        == oracles.target_pairs(p.rules, sigma, v)
 
 
 # ---------------------------------------------------------------------------
