@@ -18,13 +18,13 @@ from .forget import (Partition, TraceEntry, forget, forget_fast,
 from .harness import (CorpusSpec, GOLDEN_PROGRAMS, SPFailure, SPReport,
                       enumerate_contexts, generate_corpus, verify_sp)
 from .ht_semantics import (HTInterpretation, HTModelSet, SignatureLimitError,
-                           answer_sets, equivalent, ht_models, reduct,
-                           strongly_equivalent, v_exclusion)
+                           answer_sets, equivalent, ht_models,
+                           strongly_equivalent)
 from .normalform import is_normal_form, normal_form
 from .parser_io import (ParseError, format_program, format_rule,
                         parse_program, parse_rule)
 from .semantic import (OmegaCandidate, OmegaReport, f_sem, fsp_target_models,
-                       rel_sets, satisfies_omega)
+                       satisfies_omega)
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "forget_with_trace", "format_program", "format_rule",
     "fsp_target_models", "generate_corpus", "ht_models", "is_normal_form",
     "is_q_forgettable", "is_tautological", "normal_form", "parse_program",
-    "parse_rule", "partition", "program_distance", "reduct", "rel_sets",
-    "rule", "rule_distance", "rule_size", "satisfies_omega",
-    "strongly_equivalent", "v_exclusion", "verify_sp",
+    "parse_rule", "partition", "program_distance", "rule", "rule_distance",
+    "rule_size", "satisfies_omega", "strongly_equivalent", "verify_sp",
 ]

@@ -26,7 +26,7 @@ from typing import FrozenSet, Iterator, List, Optional, Tuple
 from .core import Program, Rule, rule
 from .forget import forget
 from .ht_semantics import (HTModelSet, check_signature, ht_models,
-                           world_masks)
+                           signature_limit, world_masks)
 from .parser_io import parse_program
 from .semantic import _omega_rows
 
@@ -145,8 +145,8 @@ def enumerate_contexts(sigma, depth: int,
     normal rules with at most two body literals (depth 1), plus all pairs
     of those rules (depth 2)."""
     atoms = tuple(sorted(frozenset(sigma)))
-    check_signature(frozenset(atoms), limit if limit is not None
-                    else DEFAULT_CONTEXT_LIMIT)
+    check_signature(frozenset(atoms),
+                    signature_limit(limit, DEFAULT_CONTEXT_LIMIT))
     if depth not in (0, 1, 2):
         raise ValueError("depth must be 0, 1 or 2")
     contexts = [Program(rule([a]) for a in s) for s in _subsets(atoms)]
@@ -235,17 +235,19 @@ def verify_sp(p: Program, q: str, depth: int = 1,
 
     When the obstruction criterion is false the answer sets of the
     forgotten program under each context must equal those of the original
-    with ``q`` removed; when it is true they must contain them.
+    with ``q`` removed; when it is true they must contain them.  ``limit``
+    caps the signature of ``p`` and of the contexts; without it the
+    ``ASPFORGET_SIGNATURE_LIMIT`` environment variable does, else 6 atoms.
     """
-    check_signature(p.signature, limit if limit is not None
-                    else DEFAULT_CONTEXT_LIMIT)
+    limit = signature_limit(limit, DEFAULT_CONTEXT_LIMIT)
+    check_signature(p.signature, limit)
     f = forget(p, q) if result is None else result
     universe = p.signature | {q}
     models_p = ht_models(p, universe)
     masks = world_masks(universe)
     qbit = masks.bit[q]
-    omega = any(fams and not has_least
-                for _, fams, has_least in _omega_rows(models_p, qbit))
+    omega = any(fams and target not in fams.values()
+                for _, fams, target in _omega_rows(models_p, qbit))
     rp, rf = models_p.rows, ht_models(f, universe).rows
     decode = masks.decoder()
     failures = []

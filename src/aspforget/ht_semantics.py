@@ -1,4 +1,4 @@
-"""Here-and-there models, reducts, answer sets, strong equivalence.
+"""Here-and-there models, answer sets, strong equivalence.
 
 Interpretations are int masks over ``sorted(sigma)``, atom i being bit i.
 An :class:`HTModelSet` stores, per classical model Y, one int whose bit X
@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional
 
-from .core import Program, Rule
+from .core import Program
 
 DEFAULT_SIGNATURE_LIMIT = 12
 _LIMIT_ENV = "ASPFORGET_SIGNATURE_LIMIT"
@@ -31,12 +31,15 @@ class SignatureLimitError(RuntimeError):
     """Raised when an enumeration would cover too large a signature."""
 
 
-def signature_limit(limit: Optional[int] = None) -> int:
+def signature_limit(limit: Optional[int] = None,
+                    default: int = DEFAULT_SIGNATURE_LIMIT) -> int:
+    """The signature guard: ``limit`` if given, else the value of the
+    ``ASPFORGET_SIGNATURE_LIMIT`` environment variable, else ``default``."""
     if limit is not None:
         return limit
     env = os.environ.get(_LIMIT_ENV)
     if not env:
-        return DEFAULT_SIGNATURE_LIMIT
+        return default
     try:
         value = int(env)
     except ValueError:
@@ -177,15 +180,6 @@ class HTModelSet:
                                        if y in theirs})
 
 
-def reduct(p: Program, interp: FrozenSet[str]) -> Program:
-    """The reduct: keep rules whose negative parts pass under ``interp``,
-    stripped to head and positive body."""
-    kept = [Rule(r.head, r.pbody, frozenset(), frozenset())
-            for r in p.rules
-            if not (r.nbody & interp) and r.nnbody <= interp]
-    return Program(kept, signature=p.signature)
-
-
 def ht_models(p: Program, sigma: Optional[Iterable[str]] = None,
               limit: Optional[int] = None) -> HTModelSet:
     """All HT-models <X,Y> of ``p`` over ``sigma`` (default: its signature).
@@ -284,21 +278,3 @@ def _project_row(row: int, vmask: int) -> int:
     for x in _bits(row):
         out |= 1 << project(x, vmask)
     return out
-
-
-def v_exclusion(models, v: Iterable[str]):
-    """Remove the atoms of ``v`` from every component of every member.
-
-    Accepts an HTModelSet (returns an HTModelSet over the narrowed
-    signature) or a collection of atom sets (returns a frozenset of
-    frozensets).
-    """
-    vs = frozenset(v)
-    if isinstance(models, HTModelSet):
-        vmask = world_masks(models.sigma).encode(vs & models.sigma)
-        rows: Dict[int, int] = {}
-        for y, row in models.rows.items():
-            py = project(y, vmask)
-            rows[py] = rows.get(py, 0) | _project_row(row, vmask)
-        return HTModelSet(models.sigma - vs, rows)
-    return frozenset(frozenset(s) - vs for s in models)

@@ -2,10 +2,10 @@
 criterion, and the counter-model construction.
 
 For a program P and forgotten atoms V, fix some Y over the remaining
-signature.  ``rel_sets`` collects the minimal ways A of re-adding atoms of
-V so that Y u A is a total HT-model of P; for each such A the reachable
+signature.  The minimal ways A of re-adding atoms of V so that Y u A is a
+total HT-model of P form ``rel``; for each such A the reachable
 here-parts, with V removed, form one candidate model family.  The target
-models of forgetting keep exactly the here-parts common to all candidates.
+models of forgetting keep exactly the here-parts common to all families.
 
 ``satisfies_omega`` detects the obstruction: some Y whose family of
 candidates is non-empty but has no least member.  Exactly then no single
@@ -17,12 +17,14 @@ guarantee.
 missing pair (a counter-model construction).  It is a correctness yardstick
 and deliberately performs no simplification, so its output is large.
 
-All of this runs on the rows of :func:`ht_models` (worlds as int masks, see
-:class:`HTModelSet`): a family is the row of Y u A with the V bits cut out
-by :func:`project`, so it is a row over the reduced signature, the least
-family test is a submask test, and the target models are the AND of the
-families.  Atom sets appear only at the edges: in the evidence of
-:func:`satisfies_omega` and :func:`rel_sets` and in the rules of
+All of this reads one walk over the rows of :func:`ht_models` (worlds as
+int masks, see :class:`HTModelSet`), :func:`_omega_rows`.  A family is the
+row of Y u A with the V bits cut out by :func:`project`, so it is a row
+over the reduced signature, and the target row is the AND of the
+families.  Some family lies inside all others exactly when that AND is
+itself a family, so the least family test is a membership test.  Atom
+sets appear only at the edges: in the evidence of :func:`satisfies_omega`
+(Y, ``rel`` and whether a least family exists) and in the rules of
 :func:`f_sem`.
 """
 
@@ -31,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .core import Program, Rule
-from .ht_semantics import (HTModelSet, _bits, _project_row, _submasks,
+from .ht_semantics import (HTModelSet, _project_row, _submasks,
                            check_signature, ht_models, project, world_masks)
 
 SetFamily = FrozenSet[FrozenSet[str]]
@@ -42,11 +44,12 @@ SetFamily = FrozenSet[FrozenSet[str]]
 
 @dataclass(frozen=True)
 class OmegaCandidate:
-    """The evidence collected for one Y over the reduced signature."""
+    """The evidence collected for one Y over the reduced signature: its
+    minimal extensions into V and whether one of their families lies
+    inside all the others."""
 
     y: FrozenSet[str]
     rel: SetFamily
-    families: Tuple[Tuple[FrozenSet[str], SetFamily], ...]
     has_least: bool
 
     @property
@@ -58,52 +61,33 @@ class OmegaCandidate:
 class OmegaReport:
     """Full record of the obstruction check."""
 
-    satisfies: bool
     witness: Optional[FrozenSet[str]]
     candidates: Tuple[OmegaCandidate, ...]
 
 
-def _extensions(rows: Dict[int, int], y: int, vmask: int
-                ) -> Iterator[Tuple[int, int]]:
-    """The minimal extensions A of the world ``y`` into ``vmask``, with the
-    row of Y u A: Y u A is a classical model, and no A' strictly inside A
-    has <Y u A', Y u A> as a model."""
-    for a in _submasks(vmask):
-        row = rows.get(y | a)
-        if row is not None and not any(row >> (y | b) & 1
-                                       for b in _submasks(a) if b != a):
-            yield a, row
-
-
 def _omega_rows(ht: HTModelSet, vmask: int
-                ) -> Iterator[Tuple[int, List[Tuple[int, int]], bool]]:
+                ) -> Iterator[Tuple[int, Dict[int, int], int]]:
     """Per world Y of ``ht`` without the bits of ``vmask``, smallest Y
-    first: Y, its minimal extensions A each with its family (a row over
-    the reduced worlds), and whether some family lies inside all others."""
+    first: Y; its minimal extensions A into ``vmask``, in
+    :func:`_submasks` order, each mapped to its family (a row over the
+    reduced worlds); and the target row, the AND of the families (0 when
+    there is none).
+
+    A is minimal when Y u A is a classical model and no A' strictly inside
+    A has <Y u A', Y u A> as a model.  Y and A' are disjoint, so Y u A' is
+    Y + A', and the test is one AND of the row shifted down by Y with the
+    worlds strictly inside A, which are built once per walk.
+    """
     rows = ht.rows
-    full = (1 << len(ht.sigma)) - 1
-    for y in _submasks(full & ~vmask):
-        fams = [(a, _project_row(row, vmask))
-                for a, row in _extensions(rows, y, vmask)]
-        has_least = any(all(m & ~o == 0 for _, o in fams) for _, m in fams)
-        yield y, fams, has_least
-
-
-def rel_sets(p: Program, v: Iterable[str], y: Iterable[str],
-             limit: Optional[int] = None) -> SetFamily:
-    """The minimal extensions A of Y into V with Y u A a total HT-model of
-    P and no smaller extension reaching the same there-world."""
-    vs = frozenset(v)
-    ys = frozenset(y)
-    if ys & vs:
-        raise ValueError("y must be disjoint from the forgotten atoms")
-    rows = ht_models(p, limit=limit).rows
-    if not ys <= p.signature:
-        return frozenset()
-    masks = world_masks(p.signature)
-    decode = masks.decoder()
-    return frozenset(decode(a) for a, _ in _extensions(
-        rows, masks.encode(ys), masks.encode(vs & p.signature)))
+    inside = [(a, sum(1 << b for b in _submasks(a)) ^ 1 << a)
+              for a in _submasks(vmask)]
+    for y in _submasks((1 << len(ht.sigma)) - 1 & ~vmask):
+        fams = {}
+        for a, strict in inside:
+            row = rows.get(y | a)
+            if row is not None and not row >> y & strict:
+                fams[a] = _project_row(row, vmask)
+        yield y, fams, reduce(and_, fams.values()) if fams else 0
 
 
 def satisfies_omega(p: Program, v: Iterable[str],
@@ -118,18 +102,12 @@ def satisfies_omega(p: Program, v: Iterable[str],
     ht = ht_models(p, limit=limit)
     masks = world_masks(ht.sigma)
     decode = masks.decoder()
-    decode_reduced = world_masks(ht.sigma - vs).decoder()
-    candidates = []
-    for y, fams, has_least in _omega_rows(ht, masks.encode(vs & ht.sigma)):
-        families = sorted(((decode(a), frozenset(map(decode_reduced,
-                                                      _bits(fam))))
-                           for a, fam in fams), key=lambda f: sorted(f[0]))
-        candidates.append(OmegaCandidate(
-            decode(y), frozenset(a for a, _ in families), tuple(families),
-            has_least))
+    candidates = tuple(
+        OmegaCandidate(decode(y), frozenset(map(decode, fams)),
+                       target in fams.values())
+        for y, fams, target in _omega_rows(ht, masks.encode(vs & ht.sigma)))
     witness = next((c.y for c in candidates if c.obstructs), None)
-    return witness is not None, OmegaReport(witness is not None, witness,
-                                            tuple(candidates))
+    return witness is not None, OmegaReport(witness, candidates)
 
 
 def fsp_target_models(p: Program, v: Iterable[str],
@@ -142,9 +120,9 @@ def fsp_target_models(p: Program, v: Iterable[str],
     check_signature(sigma2, limit)
     ht = ht_models(p, limit=limit)
     vmask = world_masks(ht.sigma).encode(vs & ht.sigma)
-    return HTModelSet(sigma2, {
-        project(y, vmask): reduce(and_, (fam for _, fam in fams))
-        for y, fams, _ in _omega_rows(ht, vmask) if fams})
+    return HTModelSet(sigma2, {project(y, vmask): target
+                               for y, _, target in _omega_rows(ht, vmask)
+                               if target})
 
 
 def f_sem(p: Program, v: Iterable[str],

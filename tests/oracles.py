@@ -87,12 +87,16 @@ def target_pairs(rules, sigma, v):
     return out
 
 
+def has_least(fams):
+    """True iff some family lies inside all the others."""
+    return any(all(m <= o for o in fams.values()) for m in fams.values())
+
+
 def omega(rules, sigma, v):
     """The first Y whose families are non-empty with no family inside all
     the others, or None."""
     for y, fams in omega_families(rules, sigma, v):
-        if fams and not any(all(m <= o for o in fams.values())
-                            for m in fams.values()):
+        if fams and not has_least(fams):
             return y
     return None
 

@@ -322,6 +322,17 @@ def test_signature_guard_exit(lp, capsys):
     assert code == 0
 
 
+def test_verify_sp_context_guard_reads_the_limit_variable(lp, capsys,
+                                                          monkeypatch):
+    path = lp("x0. x1. x2. x3. x4. x5. x6. q :- x0.\n")
+    code, _, err = run(capsys, "verify-sp", "--atom", "q", "--depth", "0",
+                       path)
+    assert code == 3 and "limit is 6" in err
+    monkeypatch.setenv("ASPFORGET_SIGNATURE_LIMIT", "9")
+    assert run(capsys, "verify-sp", "--atom", "q", "--depth", "0", path) \
+        == (0, "instances: 1  contexts: 128  failures: 0\n", "")
+
+
 @pytest.mark.parametrize("value", ["abc", "-1"])
 def test_bad_signature_limit_variable(lp, capsys, monkeypatch, value):
     monkeypatch.setenv("ASPFORGET_SIGNATURE_LIMIT", value)

@@ -201,14 +201,21 @@ def test_verify_sp_signature_guard():
     assert verify_sp(big, "x0", depth=0, limit=8).ok
 
 
-def test_verify_sp_passes_its_limit_to_the_contexts():
+def test_verify_sp_passes_its_limit_to_the_contexts(monkeypatch):
     # seven context atoms exceed the default context limit of 6; an
-    # explicit limit must cover the context enumeration too
+    # explicit limit, or else the environment variable, must cover the
+    # context enumeration too
     p = parse_program("x0. x1. x2. x3. x4. x5. x6. q :- x0.")
     with pytest.raises(SignatureLimitError):
         verify_sp(p, "q", depth=0)
     report = verify_sp(p, "q", depth=0, limit=9)
     assert report.ok and report.contexts_checked == 2 ** 7
+    monkeypatch.setenv("ASPFORGET_SIGNATURE_LIMIT", "9")
+    report = verify_sp(p, "q", depth=0)
+    assert report.ok and report.contexts_checked == 2 ** 7
+    # an explicit limit still comes first
+    with pytest.raises(SignatureLimitError):
+        verify_sp(p, "q", depth=0, limit=6)
 
 
 def test_verify_sp_omega_matches_criterion(small_corpus):

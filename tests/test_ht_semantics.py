@@ -8,8 +8,7 @@ from aspforget.core import Program, Rule
 from aspforget.ht_semantics import (DEFAULT_SIGNATURE_LIMIT,
                                     SignatureLimitError, answer_sets,
                                     answer_sets_from_pairs, equivalent,
-                                    ht_models, reduct, strongly_equivalent,
-                                    v_exclusion)
+                                    ht_models, strongly_equivalent)
 from aspforget.normalform import normal_form
 from aspforget.parser_io import parse_program
 from aspforget.semantic import fsp_target_models
@@ -21,19 +20,6 @@ from .conftest import programs as program_strategy
 
 def pairs(p, sigma=None):
     return {(m.x, m.y) for m in ht_models(p, sigma).members}
-
-
-def test_reduct_drops_blocked_rules(prog):
-    assert reduct(prog("a :- not b."), frozenset()) == prog("a.")
-    assert reduct(prog("a :- not not a."), frozenset()) == Program()
-    assert reduct(prog("a :- not not a."), frozenset({"a"})) == prog("a.")
-
-
-def test_reduct_is_positive(prog):
-    red = reduct(prog("a :- b, not c, not not d."), frozenset({"d"}))
-    r = next(iter(red))
-    assert r.nbody == frozenset() and r.nnbody == frozenset()
-    assert r.pbody == {"b"}
 
 
 def test_ht_models_single_fact(prog):
@@ -78,33 +64,6 @@ def test_equivalent_but_not_strongly(prog):
     assert not strongly_equivalent(p1, p2)
     # the separation shows up once a context can derive c
     assert answer_sets(p1 | prog("c.")) != answer_sets(p2 | prog("c."))
-
-
-def test_v_exclusion_answer_sets():
-    sets = {frozenset({"q", "u", "s"}), frozenset({"t"})}
-    assert v_exclusion(sets, {"q"}) == {frozenset({"u", "s"}),
-                                        frozenset({"t"})}
-    assert v_exclusion(set(), {"q"}) == set()
-
-
-def test_v_exclusion_ht_models(prog):
-    m = ht_models(prog("q. a :- q."))
-    out = v_exclusion(m, {"q"})
-    assert out.sigma == frozenset({"a"})
-    assert {(x, y) for x, y in out.members} \
-        == {(frozenset({"a"}), frozenset({"a"}))}
-    # two atoms cut from mid-row: b is bit 1 and q bit 3 of a..r
-    m = ht_models(prog("q. a :- q. r :- not b. c :- r, not not q."))
-    out = v_exclusion(m, {"b", "q"})
-    assert out.sigma == frozenset({"a", "c", "r"})
-    assert out.members == {(x - {"b", "q"}, y - {"b", "q"})
-                           for x, y in m.members}
-    assert_indexed(out)
-
-
-def test_v_exclusion_collapses_duplicates():
-    sets = {frozenset({"q", "a"}), frozenset({"a"})}
-    assert v_exclusion(sets, {"q"}) == {frozenset({"a"})}
 
 
 def test_signature_guard(prog):
@@ -186,8 +145,7 @@ def test_meet_is_models_of_union(p1, p2, extra):
     assert meet.members == oracles.ht_pairs(union, sigma)
     assert answer_sets_from_pairs(meet) == oracles.stable_models(union, sigma)
     whole = Program(union, signature=sigma)
-    for models in (m1, m2, meet, v_exclusion(meet, {"q"}),
-                   fsp_target_models(whole, {"q"})):
+    for models in (m1, m2, meet, fsp_target_models(whole, {"q"})):
         assert_indexed(models)
 
 

@@ -9,8 +9,7 @@ from aspforget.distance import rule_size
 from aspforget.forget import forget, is_q_forgettable
 from aspforget.ht_semantics import ht_models, strongly_equivalent
 from aspforget.parser_io import parse_program
-from aspforget.semantic import (f_sem, fsp_target_models, rel_sets,
-                                satisfies_omega)
+from aspforget.semantic import f_sem, fsp_target_models, satisfies_omega
 
 from . import oracles
 from .conftest import ATOM_POOL, EXTRA_ATOMS
@@ -25,39 +24,39 @@ def fs(*atoms):
 # relevant extensions
 
 
+def rel(p, v, y):
+    """The ``rel`` of the obstruction check's candidate for ``y``."""
+    _, report = satisfies_omega(p, v)
+    return next(c.rel for c in report.candidates if c.y == y)
+
+
 def test_rel_sets_plain_total_model(golden):
     # {t} is already a total model on its own: no extension needed
-    assert rel_sets(golden["self_cycle_mixed"], {"q"}, {"t"}) == {fs()}
+    assert rel(golden["self_cycle_mixed"], {"q"}, fs("t")) == {fs()}
 
 
 def test_rel_sets_requires_forgotten_atom(golden):
     # {u,s} only becomes a total model with q's help
-    assert rel_sets(golden["self_cycle_mixed"], {"q"}, {"u", "s"}) \
+    assert rel(golden["self_cycle_mixed"], {"q"}, fs("u", "s")) \
         == {fs("q")}
 
 
 def test_rel_sets_two_extensions(golden):
     # {u,s,t} supports both a q-free and a q-carrying equilibrium
-    assert rel_sets(golden["self_cycle_mixed"], {"q"}, {"u", "s", "t"}) \
+    assert rel(golden["self_cycle_mixed"], {"q"}, fs("u", "s", "t")) \
         == {fs(), fs("q")}
 
 
 def test_rel_sets_no_total_model(prog):
     p = prog(":- a. :- not a.")
-    assert rel_sets(p, {"q"}, {"a"}) == set()
-    assert rel_sets(p, {"q"}, set()) == set()
-
-
-def test_rel_sets_rejects_overlap(golden):
-    with pytest.raises(ValueError):
-        rel_sets(golden["self_cycle_mixed"], {"q"}, {"q", "t"})
+    assert rel(p, {"q"}, fs("a")) == set()
+    assert rel(p, {"q"}, fs()) == set()
 
 
 def test_rel_minimality(prog):
     # q alone suffices, so the two-atom extension is not minimal
     p = prog("q :- a, not not q. :- a, not q.")
-    rel = rel_sets(p, {"q", "b"}, {"a"})
-    assert rel == {fs("q")}
+    assert rel(p, {"q", "b"}, fs("a")) == {fs("q")}
 
 
 # ---------------------------------------------------------------------------
@@ -67,18 +66,18 @@ def test_rel_minimality(prog):
 def test_omega_satisfied_on_mixed_self_cycle(golden):
     verdict, report = satisfies_omega(golden["self_cycle_mixed"], {"q"})
     assert verdict
-    assert report.satisfies
     assert report.witness == fs("s", "t", "u")
 
 
 def test_omega_witness_families_have_no_least(golden):
-    _, report = satisfies_omega(golden["self_cycle_mixed"], {"q"})
+    p = golden["self_cycle_mixed"]
+    _, report = satisfies_omega(p, {"q"})
     cand = next(c for c in report.candidates if c.y == report.witness)
     assert cand.obstructs and not cand.has_least
-    families = [fam for _, fam in cand.families]
     assert len(cand.rel) == 2
     # neither family is contained in the other
-    a, b = ({frozenset(x) for x in fam} for fam in families)
+    fams = dict(oracles.omega_families(p.rules, p.signature, {"q"}))
+    a, b = fams[report.witness].values()
     assert not (a <= b) and not (b <= a)
 
 
@@ -105,12 +104,17 @@ def test_unobstructed_does_not_imply_forgettable(golden):
                                        max_size=3),
        st.frozensets(st.sampled_from(ATOM_POOL), min_size=1, max_size=2))
 @settings(max_examples=60, deadline=None)
-# random draws seldom give one Y two families; pin an obstruction and two
-# nested families
+# random draws seldom give one Y two families; pin an obstruction, two
+# nested families, and at Y={x,y} a least family without a greatest one
+# (obstruction false) and a greatest family without a least one (true)
 @example(parse_program("a :- b. b :- not not b. q :- not b, not c, "
                        "not not a."), frozenset({"a0", "p"}), frozenset({"b"}))
 @example(parse_program("a :- b, not c, not not a. b | q."),
          frozenset({"b0"}), frozenset({"b", "q"}))
+@example(parse_program("a | b | c. x :- a. x :- b. y :- a. y :- c."),
+         frozenset(), frozenset({"a", "b", "c"}))
+@example(parse_program("a | b | c. x :- b. y :- c."),
+         frozenset(), frozenset({"a", "b", "c"}))
 def test_omega_and_target_match_naive_oracle(p, extra, v):
     # the extra atoms put forgotten bits mid-row and kept atoms past bit 2
     p = p.widen(extra)
@@ -119,10 +123,8 @@ def test_omega_and_target_match_naive_oracle(p, extra, v):
     verdict, report = satisfies_omega(p, v)
     assert report.witness == oracles.omega(p.rules, sigma, v)
     assert verdict == (report.witness is not None)
-    assert [(c.y, dict(c.families)) for c in report.candidates] == want
-    for c, (y, fams) in zip(report.candidates, want):
-        assert [a for a, _ in c.families] == sorted(fams, key=sorted)
-        assert c.rel == rel_sets(p, v, y) == set(fams)
+    assert [(c.y, c.rel, c.has_least) for c in report.candidates] \
+        == [(y, set(fams), oracles.has_least(fams)) for y, fams in want]
     target = fsp_target_models(p, v)
     assert target.sigma == sigma - v
     assert {(x, y) for x, y in target.members} \
