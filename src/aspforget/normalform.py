@@ -25,14 +25,13 @@ from .core import Program, Rule, element_mask, is_tautological
 
 
 def is_normal_form(p: Program) -> bool:
-    """Check the three normal-form conditions."""
-    rules = p.rules
-    for r in rules:
-        if r.pbody & r.nbody or r.pbody & r.nnbody or r.nbody & r.nnbody:
-            return False
-        if r.head & r.pbody or r.head & r.nbody:
-            return False
-    return len(_minimal_rules(rules)) == len(rules)
+    """True iff :func:`normal_form` leaves the rules of ``p`` as they are.
+
+    Each step changes the rule set when it applies: a tautology is
+    dropped, a rewrite replaces a rule by a strictly smaller one, and a
+    subsumed rule is removed.
+    """
+    return normal_form(p) == p
 
 
 def normal_form(p: Program) -> Program:

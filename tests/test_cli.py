@@ -253,6 +253,24 @@ def test_distance(lp, capsys):
                    '[["a :- b, not c.","a :- not c."]]}\n')
 
 
+def test_distance_witness_ignores_hash_seed(lp):
+    # most pairs of rules tie on their shared head atoms, and set iteration
+    # order follows string hashes; the witness must not
+    left = lp("a :- j. a | e :- b. a | e :- j. a | i :- f. a | i.\n", "l.lp")
+    right = lp(":- c. a :- c. a | i :- not g.\n", "r.lp")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "aspforget.cli", "distance", "--witness",
+             "--json", left, right],
+            capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
 def test_fsem(lp, capsys):
     code, out, _ = run(capsys, "fsem", "--atoms", "q", "--normalize", lp(SELF_CYCLE))
     assert (code, out) == (0, "a :- not not a.\n")

@@ -1,5 +1,9 @@
 """Structural layer: atoms, rules, programs, and the package exports."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 
@@ -98,3 +102,15 @@ def test_every_export_resolves():
     namespace = {}
     exec("from aspforget import *", namespace)
     assert set(aspforget.__all__) <= set(namespace)
+
+
+def test_import_loads_no_third_party_numeric_package():
+    # in a fresh interpreter, importing the package and its CLI loads
+    # neither numpy nor scipy
+    src = os.path.dirname(os.path.dirname(aspforget.__file__))
+    code = ("import sys, aspforget, aspforget.cli; "
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -132,7 +132,7 @@ def assert_witness_costs(p1, p2, d, matching):
 
 
 def test_distance_allocates_no_padded_matrix():
-    # 10 x 1202 rules: the int64 overlap matrix takes 0.1 MB, while an
+    # 10 x 1202 rules: the overlap lists take 0.1 MB, while an
     # (n1 + n2)^2 padded matrix and its float copy take 24 MB
     p = stress_family(4)
     result = forget(p, "q")
@@ -154,10 +154,10 @@ def test_agrees_with_exhaustive_oracle(small_corpus):
 
 @pytest.mark.parametrize("words", [2, 3])
 def test_agrees_with_exhaustive_oracle_on_multi_word_masks(words):
-    # masks wider than 64 bits are packed into several uint64 words; the
-    # second program keeps most elements of the first, so the rules share
-    # elements in every word.  Ten pairs with an element index of exactly
-    # ``words`` words are checked.
+    # masks are plain ints; these span more than one 64-bit machine word.
+    # The second program keeps most elements of the first, so the rules
+    # share elements in every word.  Ten pairs with an element index of
+    # exactly ``words`` words are checked.
     rng = random.Random(words)
     atoms = [f"x{i}" for i in range(60)]
 
@@ -196,6 +196,23 @@ def test_agrees_with_exhaustive_oracle_random(rs1, rs2):
     assert d == oracles.naive_program_distance(p1, p2)
     for r1, r2 in itertools.product(rs1, rs2):
         assert rule_distance(r1, r2) == oracles.naive_rule_distance(r1, r2)
+
+
+@given(st.lists(rule_strategy, min_size=1, max_size=9, unique=True),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_agrees_with_exhaustive_oracle_on_shared_rules(pool, data):
+    # both programs come from one pool, so identical rules and tied
+    # overlaps are common: the pre-matching and the cut to each row's
+    # largest overlaps both act
+    few, many = (Program(data.draw(st.frozensets(st.sampled_from(pool),
+                                                 max_size=size)))
+                 for size in (3, 7))
+    expected = oracles.naive_program_distance(few, many)
+    for p1, p2 in ((few, many), (many, few)):
+        d, matching = program_distance(p1, p2)
+        assert d == expected
+        assert_witness_costs(p1, p2, d, matching)
 
 
 def test_single_rule_programs():
