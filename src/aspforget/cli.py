@@ -22,8 +22,9 @@ from .core import Program, check_atom, rule_key
 from .distance import program_distance
 from .forget import _forget, forget_iterated, is_q_forgettable
 from .harness import CorpusSpec, generate_corpus, verify_sp
-from .ht_semantics import (SignatureLimitError, answer_sets_from_pairs,
-                           equivalent, ht_models, strongly_equivalent)
+from .ht_semantics import (SignatureLimitError, _bits, answer_sets_from_pairs,
+                           equivalent, ht_models, strongly_equivalent,
+                           world_masks)
 from .normalform import normal_form
 from .parser_io import ParseError, format_program, parse_program
 from .semantic import f_sem, fsp_target_models, satisfies_omega
@@ -64,9 +65,11 @@ def _by_size(sets) -> List[List[str]]:
 def _emit(args, payload, text) -> None:
     """Print ``payload()`` as one JSON line under ``--json``, else write the
     strings of ``text()``.  Only the form asked for is built: a model
-    listing can be huge."""
+    listing can be huge.  Payloads are trees that may share leaf lists,
+    never cycles, so the encoder skips its cycle check."""
     if args.json:
-        print(json.dumps(payload(), separators=(",", ":"), sort_keys=True))
+        print(json.dumps(payload(), separators=(",", ":"), sort_keys=True,
+                         check_circular=False))
     else:
         sys.stdout.writelines(text())
 
@@ -117,6 +120,24 @@ def _cmd_forget(args) -> int:
     return 0
 
 
+def _pairs_by_atoms(models) -> List[List[List[str]]]:
+    """The models as sorted ``[sorted(x), sorted(y)]`` lists, without a
+    sort.  Atom i is bit i, so the worlds in prefix order (the empty world,
+    those with atom 0, the rest) are in the order of their sorted atom
+    lists.  Each here-world collects its there-worlds in that order, and
+    all pairs share one label list per world."""
+    order = [0]
+    for i in reversed(range(len(models.sigma))):
+        order = [0] + [w | 1 << i for w in order] + order[1:]
+    decode = world_masks(models.sigma).decoder()
+    labels = {w: sorted(decode(w)) for w in order}
+    there = {w: [] for w in order}
+    for y in order:
+        for x in _bits(models.rows.get(y, 0)):
+            there[x].append(labels[y])
+    return [[labels[x], ly] for x in order for ly in there[x]]
+
+
 def _cmd_models(args) -> int:
     want_ht = args.ht or not args.answer
     want_as = args.answer or not args.ht
@@ -126,8 +147,7 @@ def _cmd_models(args) -> int:
     def payload():
         out = {"signature": sorted(models.sigma)}
         if want_ht:
-            out["ht_models"] = sorted([sorted(m.x), sorted(m.y)]
-                                      for m in models.members)
+            out["ht_models"] = _pairs_by_atoms(models)
         if want_as:
             out["answer_sets"] = ans
         return out

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 from .core import Program, Rule, rule
@@ -28,7 +29,7 @@ from .forget import forget
 from .ht_semantics import (HTModelSet, check_signature, ht_models,
                            signature_limit, world_masks)
 from .parser_io import parse_program
-from .semantic import _omega_rows
+from .semantic import _obstructed
 
 GOLDEN_TEXTS = {
     "chain_pos": """
@@ -78,61 +79,37 @@ GOLDEN_PROGRAMS = {name: parse_program(text)
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Shape of a generated corpus; same spec, same programs."""
+    """A generated corpus; same spec, same programs."""
 
-    max_atoms: int = 4
-    max_rules: int = 5
-    max_body: int = 3
-    allow_disjunction: bool = True
-    allow_double_negation: bool = True
     seed: int = 0
     count: int = 100
 
 
-_POOL = ("q", "a", "b", "c", "d", "e", "f", "g", "h", "j", "k", "m")
+# A random program has 1 to MAX_RULES rules over the atoms of _POOL, each
+# with at most MAX_BODY body literals.
+_POOL = ("q", "a", "b", "c")
+MAX_RULES = 5
+MAX_BODY = 3
 
 
-def _golden_within(spec: CorpusSpec) -> List[Program]:
-    out = []
-    for name in sorted(GOLDEN_PROGRAMS):
-        p = GOLDEN_PROGRAMS[name]
-        if not spec.allow_disjunction and any(len(r.head) > 1 for r in p.rules):
-            continue
-        if not spec.allow_double_negation and any(r.nnbody for r in p.rules):
-            continue
-        out.append(p)
-    return out
-
-
-def _random_rule(rng: random.Random, atoms: Tuple[str, ...],
-                 spec: CorpusSpec) -> Rule:
+def _random_rule(rng: random.Random) -> Rule:
     roll = rng.random()
-    if roll < 0.12:
-        head_size = 0
-    elif spec.allow_disjunction and roll < 0.32:
-        head_size = 2
-    else:
-        head_size = 1
-    head = rng.sample(atoms, min(head_size, len(atoms)))
-    body_atoms = rng.sample(atoms, rng.randint(0, min(spec.max_body,
-                                                      len(atoms))))
-    kinds = ("p", "n", "nn") if spec.allow_double_negation else ("p", "n")
+    head_size = 0 if roll < 0.12 else 2 if roll < 0.32 else 1
+    head = rng.sample(_POOL, head_size)
     pbody, nbody, nnbody = [], [], []
-    for a in body_atoms:
-        {"p": pbody, "n": nbody, "nn": nnbody}[rng.choice(kinds)].append(a)
+    for a in rng.sample(_POOL, rng.randint(0, MAX_BODY)):
+        rng.choice((pbody, nbody, nnbody)).append(a)
     return rule(head, pbody, nbody, nnbody)
 
 
 def generate_corpus(spec: CorpusSpec) -> List[Program]:
-    """The golden sub-corpus (filtered by the syntax switches) followed by
-    ``spec.count`` pseudorandom programs."""
+    """The golden sub-corpus followed by ``spec.count`` pseudorandom
+    programs."""
     rng = random.Random(spec.seed)
-    atoms = _POOL[:spec.max_atoms]
-    programs = _golden_within(spec)
+    programs = [GOLDEN_PROGRAMS[name] for name in sorted(GOLDEN_PROGRAMS)]
     for _ in range(spec.count):
-        n_rules = rng.randint(1, spec.max_rules)
-        programs.append(Program(_random_rule(rng, atoms, spec)
-                                for _ in range(n_rules)))
+        n_rules = rng.randint(1, MAX_RULES)
+        programs.append(Program(_random_rule(rng) for _ in range(n_rules)))
     return programs
 
 
@@ -149,35 +126,23 @@ def enumerate_contexts(sigma, depth: int,
                     signature_limit(limit, DEFAULT_CONTEXT_LIMIT))
     if depth not in (0, 1, 2):
         raise ValueError("depth must be 0, 1 or 2")
-    contexts = [Program(rule([a]) for a in s) for s in _subsets(atoms)]
+    contexts = [Program(rule([a]) for i, a in enumerate(atoms) if m >> i & 1)
+                for m in range(1 << len(atoms))]
     if depth == 0:
         return contexts
     singles = _single_rules(atoms)
     contexts += [Program([r]) for r in singles]
     if depth == 2:
-        contexts += [Program([r1, r2]) for i, r1 in enumerate(singles)
-                     for r2 in singles[i + 1:]]
+        contexts += [Program(pair) for pair in combinations(singles, 2)]
     return contexts
-
-
-def _subsets(atoms):
-    for mask in range(1 << len(atoms)):
-        yield [a for i, a in enumerate(atoms) if mask >> i & 1]
 
 
 def _single_rules(atoms) -> List[Rule]:
     literals = [(a, False) for a in atoms] + [(a, True) for a in atoms]
-    bodies = [[]]
-    bodies += [[l] for l in literals]
-    bodies += [[l1, l2] for i, l1 in enumerate(literals)
-               for l2 in literals[i + 1:]]
-    rules = []
-    for head in [[]] + [[a] for a in atoms]:
-        for body in bodies:
-            pbody = [a for a, neg in body if not neg]
-            nbody = [a for a, neg in body if neg]
-            rules.append(rule(head, pbody, nbody))
-    return rules
+    bodies = [b for k in range(3) for b in combinations(literals, k)]
+    return [rule(head, [a for a, neg in body if not neg],
+                 [a for a, neg in body if neg])
+            for head in [[]] + [[a] for a in atoms] for body in bodies]
 
 
 @dataclass(frozen=True)
@@ -223,9 +188,8 @@ def _contexts(sigma_ctx: FrozenSet[str], universe: FrozenSet[str],
     yield from tables
     if depth == 2:
         singles = tables[1 << len(sigma_ctx):]
-        for i, (c1, m1) in enumerate(singles):
-            for c2, m2 in singles[i + 1:]:
-                yield Program(c1.rules | c2.rules), m1 & m2
+        for (c1, m1), (c2, m2) in combinations(singles, 2):
+            yield Program(c1.rules | c2.rules), m1 & m2
 
 
 def verify_sp(p: Program, q: str, depth: int = 1,
@@ -246,8 +210,7 @@ def verify_sp(p: Program, q: str, depth: int = 1,
     models_p = ht_models(p, universe)
     masks = world_masks(universe)
     qbit = masks.bit[q]
-    omega = any(fams and target not in fams.values()
-                for _, fams, target in _omega_rows(models_p, qbit))
+    omega = _obstructed(models_p, qbit)
     rp, rf = models_p.rows, ht_models(f, universe).rows
     decode = masks.decoder()
     failures = []

@@ -258,23 +258,3 @@ def equivalent(p1: Program, p2: Program, limit: Optional[int] = None) -> bool:
     """Plain equivalence: equal answer sets."""
     return answer_sets(p1, limit=limit) == answer_sets(p2, limit=limit)
 
-
-def project(m: int, vmask: int) -> int:
-    """Cut the bits of ``vmask`` out of the world ``m``.  The bits left
-    keep their order, so a mask over ``sorted(sigma)`` becomes one over
-    ``sorted(sigma - V)``."""
-    while vmask:
-        i = vmask.bit_length() - 1
-        low = (1 << i) - 1
-        m = m & low | m >> 1 & ~low
-        vmask &= low
-    return m
-
-
-def _project_row(row: int, vmask: int) -> int:
-    """The here-worlds of ``row`` with the bits of ``vmask`` cut out, as a
-    row over the reduced worlds."""
-    out = 0
-    for x in _bits(row):
-        out |= 1 << project(x, vmask)
-    return out

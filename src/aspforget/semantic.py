@@ -22,10 +22,10 @@ int masks, see :class:`HTModelSet`), :func:`_omega_rows`.  A family is the
 row of Y u A with the V bits cut out by :func:`project`, so it is a row
 over the reduced signature, and the target row is the AND of the
 families.  Some family lies inside all others exactly when that AND is
-itself a family, so the least family test is a membership test.  Atom
-sets appear only at the edges: in the evidence of :func:`satisfies_omega`
-(Y, ``rel`` and whether a least family exists) and in the rules of
-:func:`f_sem`.
+itself a family, so the least family test is a membership test.  The
+verdict alone, :func:`_obstructed`, serves ``harness.verify_sp`` on its
+own model index.  Atom sets appear only in the evidence of
+:func:`satisfies_omega` and in the rules of :func:`f_sem`.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from operator import and_
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .core import Program, Rule
-from .ht_semantics import (HTModelSet, _project_row, _submasks,
-                           check_signature, ht_models, project, world_masks)
+from .ht_semantics import (HTModelSet, _bits, _submasks, check_signature,
+                           ht_models, world_masks)
 
 SetFamily = FrozenSet[FrozenSet[str]]
 
@@ -54,7 +54,7 @@ class OmegaCandidate:
 
     @property
     def obstructs(self) -> bool:
-        return bool(self.rel) and not self.has_least
+        return _obstructs(self.rel, self.has_least)
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,32 @@ class OmegaReport:
 
     witness: Optional[FrozenSet[str]]
     candidates: Tuple[OmegaCandidate, ...]
+
+
+def project(m: int, vmask: int) -> int:
+    """Cut the bits of ``vmask`` out of the world ``m``.  The bits left
+    keep their order, so a mask over ``sorted(sigma)`` becomes one over
+    ``sorted(sigma - V)``."""
+    while vmask:
+        i = vmask.bit_length() - 1
+        low = (1 << i) - 1
+        m = m & low | m >> 1 & ~low
+        vmask &= low
+    return m
+
+
+def _project_row(row: int, vmask: int) -> int:
+    """The here-worlds of ``row`` with the bits of ``vmask`` cut out, as a
+    row over the reduced worlds."""
+    out = 0
+    for x in _bits(row):
+        out |= 1 << project(x, vmask)
+    return out
+
+
+def _obstructs(rel, has_least: bool) -> bool:
+    """Y obstructs: it has minimal extensions, but no least family."""
+    return bool(rel) and not has_least
 
 
 def _omega_rows(ht: HTModelSet, vmask: int
@@ -90,6 +116,22 @@ def _omega_rows(ht: HTModelSet, vmask: int
         yield y, fams, reduce(and_, fams.values()) if fams else 0
 
 
+def _obstructed(ht: HTModelSet, vmask: int) -> bool:
+    """The obstruction criterion on ``ht``, forgetting the bits of ``vmask``."""
+    return any(_obstructs(fams, target in fams.values())
+               for _, fams, target in _omega_rows(ht, vmask))
+
+
+def _models_and_vmask(p: Program, v: Iterable[str], limit: Optional[int]):
+    """The HT-models of ``p``, its signature without ``v`` (guarded first)
+    and the mask of ``v`` over the worlds of the models."""
+    vs = frozenset(v)
+    sigma2 = p.signature - vs
+    check_signature(sigma2, limit)
+    ht = ht_models(p, limit=limit)
+    return ht, sigma2, world_masks(ht.sigma).encode(vs & ht.sigma)
+
+
 def satisfies_omega(p: Program, v: Iterable[str],
                     limit: Optional[int] = None) -> Tuple[bool, OmegaReport]:
     """Decide the obstruction criterion and return the full evidence.
@@ -97,15 +139,12 @@ def satisfies_omega(p: Program, v: Iterable[str],
     True iff some Y over the reduced signature has a non-empty family of
     candidate model sets without a least element.
     """
-    vs = frozenset(v)
-    check_signature(p.signature - vs, limit)
-    ht = ht_models(p, limit=limit)
-    masks = world_masks(ht.sigma)
-    decode = masks.decoder()
+    ht, _, vmask = _models_and_vmask(p, v, limit)
+    decode = world_masks(ht.sigma).decoder()
     candidates = tuple(
         OmegaCandidate(decode(y), frozenset(map(decode, fams)),
                        target in fams.values())
-        for y, fams, target in _omega_rows(ht, masks.encode(vs & ht.sigma)))
+        for y, fams, target in _omega_rows(ht, vmask))
     witness = next((c.y for c in candidates if c.obstructs), None)
     return witness is not None, OmegaReport(witness, candidates)
 
@@ -115,11 +154,7 @@ def fsp_target_models(p: Program, v: Iterable[str],
     """The HT-models any ideal forgetting result must have: for each Y,
     the intersection of its candidate model sets (no candidates, no
     models)."""
-    vs = frozenset(v)
-    sigma2 = p.signature - vs
-    check_signature(sigma2, limit)
-    ht = ht_models(p, limit=limit)
-    vmask = world_masks(ht.sigma).encode(vs & ht.sigma)
+    ht, sigma2, vmask = _models_and_vmask(p, v, limit)
     return HTModelSet(sigma2, {project(y, vmask): target
                                for y, _, target in _omega_rows(ht, vmask)
                                if target})

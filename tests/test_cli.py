@@ -1,18 +1,22 @@
 """Command-line interface, exercised in-process."""
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aspforget import cli
+from aspforget.ht_semantics import ht_models
 from aspforget.parser_io import format_program
 
-from .conftest import stress_family
+from .conftest import EXTRA_ATOMS, programs as program_strategy, stress_family
 
 CHAIN = "t :- q. v :- not q. q :- s. q :- w.\n"
 SELF_CYCLE = "q :- not not q. a :- q.\n"
@@ -134,6 +138,23 @@ def test_models_json(lp, capsys):
     assert out == ('{"answer_sets":[[],["a","q"]],'
                    '"ht_models":[[[],[]],[[],["a"]],[["a"],["a"]],'
                    '[["a","q"],["a","q"]]],"signature":["a","q"]}\n')
+
+
+@given(program_strategy,
+       st.frozensets(st.sampled_from(EXTRA_ATOMS), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_models_json_is_sorted_pair_form(p, extra):
+    # the pairs are emitted in order from the rows; they must equal the
+    # decoded pair set sorted as [sorted(x), sorted(y)] lists
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(format_program(p))), \
+            contextlib.redirect_stdout(out):
+        code = cli.main(["models", "--json", "--signature", ",".join(extra),
+                         "-"])
+    members = ht_models(p.widen(extra)).members
+    assert code == 0
+    assert json.loads(out.getvalue())["ht_models"] \
+        == sorted([sorted(m.x), sorted(m.y)] for m in members)
 
 
 def test_models_text_sections(lp, capsys):

@@ -9,13 +9,15 @@ from aspforget import normalform
 from aspforget.core import Program
 from aspforget.forget import (Partition, forget, forget_fast, forget_iterated,
                               forget_with_trace, is_q_forgettable, partition)
+from aspforget.harness import CorpusSpec, generate_corpus
 from aspforget.ht_semantics import answer_sets, ht_models, strongly_equivalent
 from aspforget.normalform import is_normal_form, normal_form
 from aspforget.parser_io import parse_program, parse_rule
-from aspforget.semantic import fsp_target_models
+from aspforget.semantic import fsp_target_models, satisfies_omega
 
 from .conftest import programs as program_strategy, stress_family
 
+QA = frozenset({"q", "a"})
 TAGS = {"plain", "1a", "2a", "3a", "1b", "2b", "3b", "4", "5", "6", "7"}
 
 
@@ -334,6 +336,37 @@ def test_iterated_forgetting(prog):
     result = forget_iterated(p, ["q", "s"])
     assert result == prog("t :- w.")
     assert forget_iterated(p, []) == p
+
+
+def test_iterated_forgetting_meets_set_target_when_unobstructed():
+    # forgetting q then a must give the target models of forgetting {q, a}
+    # at once whenever neither the set nor either step is obstructed
+    checked = 0
+    for p in generate_corpus(CorpusSpec(seed=1, count=2000)):
+        p = p.widen(QA)
+        if (satisfies_omega(p, QA)[0] or satisfies_omega(p, {"q"})[0]
+                or satisfies_omega(forget(p, "q"), {"a"})[0]):
+            continue
+        want = fsp_target_models(p, QA)
+        got = ht_models(forget_iterated(p, ["q", "a"]), want.sigma)
+        assert got.rows == want.rows, p
+        checked += 1
+    assert checked == 2011
+
+
+def test_iterated_forgetting_obstructed_step_misses_set_target(prog):
+    # the one program of that corpus where the set is not obstructed but
+    # the first step is: the iterated result has other models than the
+    # set-level target
+    p = prog("a :- q. b :- not q, not not a. "
+             "q :- not b, not not a, not not q. q :- not not a, not not q. "
+             "q :- q, not not b, not not c.")
+    assert not satisfies_omega(p, QA)[0]
+    assert satisfies_omega(p, {"q"})[0]
+    assert not satisfies_omega(forget(p, "q"), {"a"})[0]
+    want = fsp_target_models(p, QA)
+    assert ht_models(forget_iterated(p, ["q", "a"]), want.sigma).rows \
+        != want.rows
 
 
 def test_iterated_order_can_matter_but_stays_q_free(prog):

@@ -1,5 +1,7 @@
 """Corpus generation, context enumeration, persistence checking."""
 
+import hashlib
+
 import pytest
 
 from aspforget.core import Program, rule
@@ -9,7 +11,7 @@ from aspforget.harness import (GOLDEN_PROGRAMS, CorpusSpec, SPFailure,
                                verify_sp)
 from aspforget.ht_semantics import (SignatureLimitError, answer_sets,
                                     answer_sets_from_pairs, ht_models)
-from aspforget.parser_io import parse_program
+from aspforget.parser_io import format_program, parse_program
 from aspforget.semantic import satisfies_omega
 
 from . import oracles
@@ -45,22 +47,28 @@ def test_corpus_goldens_lead():
         == [GOLDEN_PROGRAMS[k] for k in sorted(GOLDEN_PROGRAMS)]
 
 
-def test_corpus_syntax_switches():
-    flat = generate_corpus(CorpusSpec(count=40, allow_disjunction=False))
-    assert all(len(r.head) <= 1 for p in flat for r in p)
-    single = generate_corpus(CorpusSpec(count=40,
-                                        allow_double_negation=False))
-    assert all(not r.nnbody for p in single for r in p)
-
-
 def test_corpus_generated_part_obeys_caps():
-    spec = CorpusSpec(max_atoms=3, max_rules=4, max_body=2, count=60)
+    spec = CorpusSpec(count=200)
     corpus = generate_corpus(spec)
     for p in corpus[-spec.count:]:
-        assert len(p) <= 4
-        assert len(p.signature) <= 3
+        assert 1 <= len(p) <= 5
+        assert len(p.signature) <= 4
         for r in p:
-            assert len(r.pbody) + len(r.nbody) + len(r.nnbody) <= 2
+            assert len(r.pbody) + len(r.nbody) + len(r.nnbody) <= 3
+
+
+@pytest.mark.parametrize("seed, count, digest", [
+    (1, 2000, "e2bc7b607f28d5fa1dab3413d5b82abceda38d9c"),
+    (0, 25, "f6f8c78a106dd993bd7bd76213725036ac3b99b6"),
+])
+def test_corpus_texts_are_frozen(seed, count, digest):
+    # the benchmark's corpus and persistence inputs (seed 1, 2000
+    # programs) and the verify-sp default corpus (seed 0, 25 programs):
+    # a change to the generator must not shift them
+    texts = "\n".join(map(format_program,
+                           generate_corpus(CorpusSpec(seed=seed,
+                                                      count=count))))
+    assert hashlib.sha1(texts.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
