@@ -19,7 +19,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, Tuple
+from typing import FrozenSet, Iterable, Iterator, Tuple
 
 ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
@@ -72,23 +72,6 @@ def rule(head: Iterable[str] = (), pbody: Iterable[str] = (),
                 frozenset(map(check_atom, pbody)),
                 frozenset(map(check_atom, nbody)),
                 frozenset(map(check_atom, nnbody)))
-
-
-def element_mask(r: Rule, index: Dict[Tuple[int, str], int]) -> int:
-    """The rule as a bit set of its elements: one bit per head atom and per
-    tagged body literal.
-
-    ``index`` maps ``(tag, atom)`` to a bit position and is filled on first
-    use; tag 0 is the head and tags 1, 2, 3 are body literals under zero,
-    one and two ``not``.  Masks built with one index share positions, so
-    ``a & b`` holds the elements two rules share and ``a & ~b == 0`` says
-    that every element of ``a`` is one of ``b``.
-    """
-    m = 0
-    for tag, atoms in enumerate((r.head, r.pbody, r.nbody, r.nnbody)):
-        for a in atoms:
-            m |= 1 << index.setdefault((tag, a), len(index))
-    return m
 
 
 def rule_key(r: Rule) -> Tuple:

@@ -17,11 +17,10 @@ Each step preserves the HT-models of the program.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress
-from operator import or_
+from operator import and_
 from typing import Iterable, List
 
-from .core import Program, Rule, element_mask, is_tautological
+from .core import Program, Rule, is_tautological
 
 
 def is_normal_form(p: Program) -> bool:
@@ -42,36 +41,39 @@ def normal_form(p: Program) -> Program:
     return Program(_minimal_rules(rewritten), signature=p.signature)
 
 
-# per element, lowest first: b"\x01" where a mask's bit is clear (_LACKS)
-# or set (_HAS), as selectors for ``itertools.compress``
-_LACKS = bytes.maketrans(b"01", b"\x01\x00")
-_HAS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _minimal_rules(rules: Iterable[Rule]) -> List[Rule]:
     """Keep exactly the rules not strictly subsumed by another.
 
-    Each rule is a bit set of its elements (:func:`core.element_mask`), and
-    a strict subsumer is a strict subset, hence has fewer bits, so after
-    sorting by bit count each rule only needs testing against the rules
-    kept before it.  ``occurs[x]`` holds, as a bit per kept rule, the kept
-    rules with element ``x``.  The OR of ``occurs`` over the elements a
-    candidate lacks is the set of kept rules that are no subset of it; the
-    candidate is subsumed iff some kept rule falls outside that set.
+    Strict subsumption is transitive and well-founded on a finite set, so
+    a rule is subsumed by a kept rule iff it strictly contains *some* rule
+    of the set, kept or not; no order of testing is needed.  After
+    deduplication, ``has[x]`` holds, as a bit per rule, the rules with
+    element ``x`` (a head atom, or a body atom under zero, one or two
+    ``not``).  The AND of ``has`` over a rule's own elements is every rule
+    containing it; all of those but the rule itself are subsumed.  The
+    empty rule has no elements, so it subsumes every other rule.  The cost
+    is the rules' total element count times one AND as wide as the set.
     """
+    rules = list(set(rules))
+    n = len(rules)
     index: dict = {}
-    packed = sorted(((element_mask(r, index), r) for r in set(rules)),
-                    key=lambda t: t[0].bit_count())
-    n = len(index)
-    occurs = [0] * n
-    out: List[Rule] = []
-    for m, r in packed:
-        bits = format(m, f"0{n}b")[::-1].encode()
-        outside = reduce(or_, compress(occurs, bits.translate(_LACKS)), 0)
-        if ~outside & ((1 << len(out)) - 1):
-            continue
-        bit = 1 << len(out)
-        for x in compress(range(n), bits.translate(_HAS)):
-            occurs[x] |= bit
-        out.append(r)
-    return out
+    cols: List[bytearray] = []
+    own = []
+    for i, r in enumerate(rules):
+        ids = []
+        for tag, atoms in enumerate((r.head, r.pbody, r.nbody, r.nnbody)):
+            for a in atoms:
+                x = index.setdefault((tag, a), len(cols))
+                if x == len(cols):
+                    cols.append(bytearray(b"0") * n)
+                cols[x][~i] = 49  # ASCII "1", read as bit i by int(col, 2)
+                ids.append(x)
+        own.append(ids)
+    has = [int(col, 2) for col in cols]
+    everyone = (1 << n) - 1
+    subsumed = 0
+    for i, ids in enumerate(own):
+        containing = reduce(and_, map(has.__getitem__, ids), everyone)
+        subsumed |= containing ^ (1 << i)  # all but rule i itself
+    flags = format(subsumed, f"0{n}b")[::-1]
+    return [r for r, f in zip(rules, flags) if f == "0"]

@@ -168,7 +168,7 @@ def test_plain_rules_keep_their_identity(prog):
 def test_consumer_never_blocks_itself():
     # 3a combines a consumer with blockers of the *other* consumers only, so
     # on the stress family no raw rule is dropped by the final normal form
-    for k, rules, family_3a in ((3, 303, 12), (5, 4671, 80)):
+    for k, rules, family_3a in ((3, 303, 12), (5, 4671, 80), (6, 17766, 192)):
         result, trace = forget_with_trace(stress_family(k), "q")
         assert len(trace) == rules
         assert sum(e.tag == "3a" for e in trace) == family_3a

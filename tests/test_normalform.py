@@ -1,5 +1,7 @@
 """Normal form: the four rewrite steps, their order, and preserved meaning."""
 
+from itertools import permutations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +76,35 @@ def test_minimal_rules_agrees_with_pairwise_oracle(rules):
     kept = _minimal_rules(rules)
     assert len(kept) == len(set(kept))
     assert set(kept) == oracles.naive_minimal_rules(rules)
+
+
+# 65 to 160 rules, duplicates included: over more than 64 distinct rules
+# the per-element rule bitsets span more than one 64-bit word.  Rules of
+# two or more elements, so that the empty rule or a fact does not subsume
+# nearly all the others.
+wide_rule_lists = st.lists(
+    rule_strategy.filter(lambda r: len(r.head) + len(r.pbody) + len(r.nbody)
+                         + len(r.nnbody) >= 2),
+    min_size=65, max_size=120, unique=True).flatmap(
+    lambda distinct: st.lists(st.sampled_from(distinct), max_size=40).flatmap(
+        lambda copies: st.permutations(distinct + copies)))
+
+
+@given(wide_rule_lists)
+@settings(max_examples=25, deadline=None)
+def test_minimal_rules_agrees_with_pairwise_oracle_on_wide_sets(rules):
+    kept = _minimal_rules(rules)
+    assert len(kept) == len(set(kept))
+    assert set(kept) == oracles.naive_minimal_rules(rules)
+
+
+def test_minimal_rules_chain_keeps_only_its_bottom():
+    # the middle rule is subsumed and also subsumes the top one; only the
+    # bottom survives, whatever order the rules come in
+    chain = [parse_rule("a :- b."), parse_rule("a :- b, c."),
+             parse_rule("a | d :- b, c, not e.")]
+    for rules in permutations(chain):
+        assert _minimal_rules(rules) == chain[:1]
 
 
 def test_minimal_rules_edge_cases(prog):
