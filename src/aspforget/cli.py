@@ -39,6 +39,8 @@ def _read_program(path: str) -> Program:
                 text = fh.read()
         except OSError as exc:
             raise ValueError(f"cannot read {path}: {exc.strerror}")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"cannot read {path}: {exc}")
     try:
         return parse_program(text)
     except ParseError as exc:

@@ -172,7 +172,7 @@ class SPReport:
 @lru_cache(maxsize=64)
 def _context_pairs(sigma_ctx: FrozenSet[str], universe: FrozenSet[str],
                    depth: int, limit: Optional[int]):
-    return tuple((ctx, ht_models(ctx, universe))
+    return tuple((ctx, ht_models(ctx, universe, len(universe)))
                  for ctx in enumerate_contexts(sigma_ctx, depth, limit))
 
 
@@ -207,11 +207,13 @@ def verify_sp(p: Program, q: str, depth: int = 1,
     check_signature(p.signature, limit)
     f = forget(p, q) if result is None else result
     universe = p.signature | {q}
-    models_p = ht_models(p, universe)
+    # The guards on p and on the contexts are the only caps; the models
+    # over the universe, at most one atom wider, apply none of their own.
+    models_p = ht_models(p, universe, len(universe))
     masks = world_masks(universe)
     qbit = masks.bit[q]
     omega = _obstructed(models_p, qbit)
-    rp, rf = models_p.rows, ht_models(f, universe).rows
+    rp, rf = models_p.rows, ht_models(f, universe, len(universe)).rows
     decode = masks.decoder()
     failures = []
     checked = 0

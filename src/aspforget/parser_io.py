@@ -13,13 +13,20 @@ is accepted back; it arises from forgetting and denotes the always-violated
 constraint.  Canonical printing sorts head atoms alphabetically, body
 literals by kind (positive, ``not``, ``not not``) and then alphabetically,
 and whole rules by their printed form, one per line, so that printing is
-injective on programs and ``parse(print(P)) == P``.  Error positions count
-lines as the scanner does.  JSON output belongs to the command line front end.
+injective on programs and ``parse(print(P)) == P``.  JSON output belongs
+to the command line front end.
+
+The blanks between tokens are space, tab, CR and LF; any other character
+outside a comment, such as a no-break space, a form feed or a vertical tab,
+is rejected.  Every token is checked before the grammar is read, so a bad
+token is reported before any grammar error.  Error positions count only
+``\\n`` as a line break.
 """
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+import re
+from typing import List
 
 from .core import ATOM_RE, Program, Rule
 
@@ -35,46 +42,10 @@ class ParseError(Exception):
         self.snippet = snippet
 
 
-def _tokenize(text: str) -> List[Tuple[str, str, int, int]]:
-    """Yield (kind, value, line, column) tokens; kind is 'atom' or 'punct'."""
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif text.startswith(":-", i):
-            tokens.append(("punct", ":-", line, col))
-            i += 2
-            col += 2
-        elif c in ".,|":
-            tokens.append(("punct", c, line, col))
-            i += 1
-            col += 1
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if not ATOM_RE.match(word):
-                raise ParseError(f"invalid atom name {word!r}", line, col,
-                                 _lines(text)[line - 1])
-            tokens.append(("atom", word, line, col))
-            col += j - i
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col,
-                             _lines(text)[line - 1])
-    return tokens
+# A comment, or one token: ``:-``, a run of word characters, or any other
+# character that is not a blank.
+_TOKEN = re.compile(r"%[^\n]*|(:-|\w+|[^ \t\r\n])")
+_PUNCT = frozenset((":-", ".", ",", "|"))
 
 
 def _lines(text: str) -> List[str]:
@@ -87,81 +58,72 @@ def _lines(text: str) -> List[str]:
     return lines
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _error(self, message: str, tok=None):
-        if tok is None:
-            tok = self._peek()
-        if tok is None:
-            lines = _lines(self.text)
-            raise ParseError(message, len(lines), len(lines[-1]) + 1, lines[-1])
-        raise ParseError(message, tok[2], tok[3], _lines(self.text)[tok[2] - 1])
-
-    def _take_punct(self, value: str) -> None:
-        tok = self._peek()
-        if tok is None or tok[0] != "punct" or tok[1] != value:
-            self._error(f"expected {value!r}")
-        self.pos += 1
-
-    def _take_atom(self) -> str:
-        tok = self._peek()
-        if tok is None or tok[0] != "atom":
-            self._error("expected an atom")
-        if tok[1] == "not":
-            self._error("'not' is reserved and cannot be an atom name", tok)
-        self.pos += 1
-        return tok[1]
-
-    def _literal(self, body: Tuple[Set[str], Set[str], Set[str]]) -> None:
-        """Read one body literal into P, N or NN by its ``not`` depth."""
-        depth = 0
-        while self._peek() is not None and self._peek()[:2] == ("atom", "not"):
-            if depth == 2:
-                self._error("'not not not a' is not accepted; "
-                            "it collapses to 'not a', so write that")
-            self.pos += 1
-            depth += 1
-        body[depth].add(self._take_atom())
-
-    def _rule(self) -> Rule:
-        head: List[str] = []
-        tok = self._peek()
-        if tok[0] == "atom":
-            head.append(self._take_atom())
-            while self._peek() and self._peek()[1] == "|":
-                self.pos += 1
-                head.append(self._take_atom())
-        body = (set(), set(), set())
-        tok = self._peek()
-        if tok is not None and tok[1] == ":-":
-            self.pos += 1
-            if self._peek() is not None and self._peek()[1] != ".":
-                self._literal(body)
-                while self._peek() is not None and self._peek()[1] == ",":
-                    self.pos += 1
-                    self._literal(body)
-        elif not head and (tok is None or tok[1] != "."):
-            self._error("expected a rule")
-        self._take_punct(".")
-        return Rule(frozenset(head), *map(frozenset, body))
-
-    def program(self) -> Program:
-        rules = []
-        while self._peek() is not None:
-            rules.append(self._rule())
-        return Program(rules)
+def _error(text: str, index: int, message: str) -> ParseError:
+    """The error at token ``index`` of ``text``, or at its end when there
+    are only ``index`` tokens; the positions come from a second scan."""
+    lines = _lines(text)
+    starts = [m.start() for m in _TOKEN.finditer(text) if m.group(1)]
+    if index == len(starts):
+        return ParseError(message, len(lines), len(lines[-1]) + 1, lines[-1])
+    at = starts[index]
+    line = text.count("\n", 0, at) + 1
+    return ParseError(message, line, at - text.rfind("\n", 0, at),
+                      lines[line - 1])
 
 
 def parse_program(text: str) -> Program:
     """Parse program text; raises ParseError with line/column on bad input."""
-    return _Parser(text).program()
+    tokens = [t for t in _TOKEN.findall(text) if t]
+    bad = {t for t in set(tokens) - _PUNCT if not ATOM_RE.match(t)}
+    if bad:
+        # a word that does not start with a letter or "_" is no name at all:
+        # its first character is the unexpected one
+        i, t = next((i, t) for i, t in enumerate(tokens) if t in bad)
+        raise _error(text, i, f"invalid atom name {t!r}"
+                     if t[0].isalpha() or t[0] == "_"
+                     else f"unexpected character {t[0]!r}")
+    # States: "rule" at the start of a rule, "head" after "|", "head_end"
+    # after a head atom, "body" after ":-", "lit" after "not", "body_end"
+    # after a body atom.  ``depth`` counts the "not"s of the literal read.
+    rules: List[Rule] = []
+    head, body, depth, state = [], (set(), set(), set()), 0, "rule"
+    for i, tok in enumerate(tokens):
+        if tok == "." and state not in ("head", "lit"):
+            rules.append(Rule(frozenset(head), *map(frozenset, body)))
+            head, body, state = [], (set(), set(), set()), "rule"
+        elif state == "rule" and tok in _PUNCT:
+            if tok != ":-":
+                raise _error(text, i, "expected a rule")
+            state = "body"
+        elif state in ("rule", "head"):
+            if tok in _PUNCT:
+                raise _error(text, i, "expected an atom")
+            if tok == "not":
+                raise _error(text, i,
+                             "'not' is reserved and cannot be an atom name")
+            head.append(tok)
+            state = "head_end"
+        elif state == "head_end" and tok in ("|", ":-"):
+            state = "head" if tok == "|" else "body"
+        elif state == "body_end" and tok == ",":
+            state = "lit"
+        elif state in ("head_end", "body_end"):
+            raise _error(text, i, "expected '.'")
+        elif tok in _PUNCT:
+            raise _error(text, i, "expected an atom")
+        elif tok == "not":
+            if depth == 2:
+                raise _error(text, i, "'not not not a' is not accepted; "
+                             "it collapses to 'not a', so write that")
+            depth += 1
+            state = "lit"
+        else:
+            body[depth].add(tok)
+            depth, state = 0, "body_end"
+    if state != "rule":
+        raise _error(text, len(tokens), "expected an atom"
+                     if state in ("head", "lit") else "expected '.'")
+    return Program(rules)
 
 
 def parse_rule(text: str) -> Rule:

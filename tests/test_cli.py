@@ -372,6 +372,24 @@ def test_verify_sp_context_guard_reads_the_limit_variable(lp, capsys,
         == (0, "instances: 1  contexts: 128  failures: 0\n", "")
 
 
+def test_verify_sp_limit_is_the_only_cap(lp, capsys, monkeypatch):
+    # --limit covers p and its contexts; the models over their signature
+    # widened by q must not read the smaller environment variable
+    monkeypatch.setenv("ASPFORGET_SIGNATURE_LIMIT", "3")
+    assert run(capsys, "--limit", "5", "verify-sp", "--atom", "q",
+               "--depth", "0", lp("a :- b, not c. q :- a.\n")) \
+        == (0, "instances: 1  contexts: 8  failures: 0\n", "")
+
+
+def test_undecodable_file_is_named(tmp_path, capsys):
+    path = tmp_path / "p.lp"
+    path.write_bytes(b"a :- b.\n\xff\n")
+    code, out, err = run(capsys, "normalize", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"aspforget: cannot read {path}: 'utf-8' codec "
+                          f"can't decode byte 0xff in position 8")
+
+
 @pytest.mark.parametrize("value", ["abc", "-1"])
 def test_bad_signature_limit_variable(lp, capsys, monkeypatch, value):
     monkeypatch.setenv("ASPFORGET_SIGNATURE_LIMIT", value)

@@ -1,5 +1,6 @@
 """Structural layer: atoms, rules, programs, and the package exports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -114,3 +115,12 @@ def test_import_loads_no_third_party_numeric_package():
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_modules_parse_as_python_3_10():
+    # pyproject.toml promises Python >= 3.10; this checks syntax only
+    src = os.path.dirname(aspforget.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                ast.parse(fh.read(), name, feature_version=(3, 10))

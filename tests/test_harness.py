@@ -226,6 +226,20 @@ def test_verify_sp_passes_its_limit_to_the_contexts(monkeypatch):
         verify_sp(p, "q", depth=0, limit=6)
 
 
+def test_verify_sp_guards_are_the_only_caps(monkeypatch):
+    # the models over p's signature widened by q apply no cap of their
+    # own: neither the environment variable below an explicit limit ...
+    monkeypatch.setenv("ASPFORGET_SIGNATURE_LIMIT", "3")
+    p = parse_program("a :- b, not c. q :- a.")
+    report = verify_sp(p, "q", depth=0, limit=5)
+    assert report.ok and report.contexts_checked == 2 ** 3
+    # ... nor the context limit, which six atoms without q just meet
+    monkeypatch.delenv("ASPFORGET_SIGNATURE_LIMIT")
+    p = parse_program("a :- b, not c. d :- e, not f.")
+    report = verify_sp(p, "q", depth=0)
+    assert report.ok and report.contexts_checked == 2 ** 6
+
+
 def test_verify_sp_omega_matches_criterion(small_corpus):
     # verify_sp reads the criterion over the signature widened by q; when q
     # is outside the program that must agree with the plain signature

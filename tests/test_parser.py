@@ -1,7 +1,7 @@
 """Text format: grammar coverage, error positions, canonical printing."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from aspforget.core import Program, rule
 from aspforget.parser_io import (ParseError, format_program, format_rule,
@@ -42,23 +42,34 @@ def test_duplicate_rules_collapse(prog):
     assert len(prog("a :- b. a :- b.")) == 1
 
 
-@pytest.mark.parametrize("text,line,col", [
-    ("a :- b", 1, 7),          # missing final dot
-    ("a :- , b.", 1, 6),       # dangling comma
-    ("Not :- b.", 1, 1),       # bad atom start
-    ("a :- not.", 1, 9),       # not without atom
-    ("a | :- b.", 1, 5),       # dangling bar
-    ("a :- b. c :-\nnot not not d.", 2, 9),
-    ("a :- b\n", 1, 7),        # a final line break starts no new line
+@pytest.mark.parametrize("text,line,col,message", [
+    ("a :- b", 1, 7, None),          # missing final dot
+    ("a :- , b.", 1, 6, None),       # dangling comma
+    ("Not :- b.", 1, 1, None),       # bad atom start
+    ("a :- not.", 1, 9, None),       # not without atom
+    ("a | :- b.", 1, 5, None),       # dangling bar
+    ("a :- b. c :-\nnot not not d.", 2, 9, None),
+    ("a :- b\n", 1, 7, None),        # a final line break starts no new line
     # only \n ends a line, also inside a comment
-    ("% x\x0cy\nb :- c", 2, 7),
-    ("% a\x0cb\nc :- , d.", 2, 6),
+    ("% x\x0cy\nb :- c", 2, 7, None),
+    ("% a\x0cb\nc :- , d.", 2, 6, None),
+    # a bad token is reported before an earlier grammar error
+    ("a :- , Bad.", 1, 8, "invalid atom name 'Bad'"),
+    # a word must start with a letter; one that does runs on through
+    # every letter or digit, also outside ASCII
+    ("a :- \u00b2b.", 1, 6, "unexpected character '\u00b2'"),
+    ("a :- b\u00b2 .", 1, 6, "invalid atom name 'b\u00b2'"),
+    # the blanks are space, tab, CR and LF only
+    ("a :-\xa0b.", 1, 5, "unexpected character '\\xa0'"),
+    ("a\x0b:- b.", 1, 2, "unexpected character '\\x0b'"),
 ])
-def test_error_positions(text, line, col):
+def test_error_positions(text, line, col, message):
     with pytest.raises(ParseError) as err:
         parse_program(text)
     assert (err.value.line, err.value.column) == (line, col)
     assert err.value.snippet == text.split("\n")[line - 1]
+    if message is not None:
+        assert err.value.message == message
 
 
 def test_triple_negation_asks_for_single():
@@ -96,6 +107,26 @@ def test_round_trip_fixpoint(prog):
 @given(program_strategy)
 def test_round_trip_random_programs(p):
     assert parse_program(format_program(p)) == p
+
+
+def _tokens(r):
+    """The tokens of ``r`` as canonical printing orders them."""
+    head = [t for a in sorted(r.head) for t in ("|", a)][1:]
+    literals = ([[a] for a in sorted(r.pbody)]
+                + [["not", a] for a in sorted(r.nbody)]
+                + [["not", "not", a] for a in sorted(r.nnbody)])
+    body = [t for lit in literals for t in [","] + lit][1:]
+    return head + ([":-"] + body if body or not head else []) + ["."]
+
+
+@given(program_strategy, st.data())
+def test_blanks_and_comments_between_tokens(p, data):
+    tokens = [t for r in sorted(p.rules, key=format_rule) for t in _tokens(r)]
+    seps = data.draw(st.lists(st.sampled_from(
+        [" ", "\t", "\n", "\r\n", "% comment\n"]),
+        min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = seps[0] + "".join(t + s for t, s in zip(tokens, seps[1:]))
+    assert parse_program(text) == p
 
 
 def test_parse_error_carries_snippet():
