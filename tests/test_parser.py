@@ -42,34 +42,44 @@ def test_duplicate_rules_collapse(prog):
     assert len(prog("a :- b. a :- b.")) == 1
 
 
-@pytest.mark.parametrize("text,line,col,message", [
-    ("a :- b", 1, 7, None),          # missing final dot
-    ("a :- , b.", 1, 6, None),       # dangling comma
-    ("Not :- b.", 1, 1, None),       # bad atom start
-    ("a :- not.", 1, 9, None),       # not without atom
-    ("a | :- b.", 1, 5, None),       # dangling bar
-    ("a :- b. c :-\nnot not not d.", 2, 9, None),
-    ("a :- b\n", 1, 7, None),        # a final line break starts no new line
+# the message, where the column alone does not show which check fired
+_MESSAGES = {
+    "a :- , Bad.": "invalid atom name 'Bad'",
+    "a :- \u00b2b.": "unexpected character '\u00b2'",
+    "a :- b\u00b2 .": "invalid atom name 'b\u00b2'",
+    "a :-\xa0b.": "unexpected character '\\xa0'",
+    "a\x0b:- b.": "unexpected character '\\x0b'",
+}
+
+
+@pytest.mark.parametrize("text,line,col", [
+    ("a :- b", 1, 7),          # missing final dot
+    ("a :- , b.", 1, 6),       # dangling comma
+    ("Not :- b.", 1, 1),       # bad atom start
+    ("a :- not.", 1, 9),       # not without atom
+    ("a | :- b.", 1, 5),       # dangling bar
+    ("a :- b. c :-\nnot not not d.", 2, 9),
+    ("a :- b\n", 1, 7),        # a final line break starts no new line
     # only \n ends a line, also inside a comment
-    ("% x\x0cy\nb :- c", 2, 7, None),
-    ("% a\x0cb\nc :- , d.", 2, 6, None),
+    ("% x\x0cy\nb :- c", 2, 7),
+    ("% a\x0cb\nc :- , d.", 2, 6),
     # a bad token is reported before an earlier grammar error
-    ("a :- , Bad.", 1, 8, "invalid atom name 'Bad'"),
+    ("a :- , Bad.", 1, 8),
     # a word must start with a letter; one that does runs on through
     # every letter or digit, also outside ASCII
-    ("a :- \u00b2b.", 1, 6, "unexpected character '\u00b2'"),
-    ("a :- b\u00b2 .", 1, 6, "invalid atom name 'b\u00b2'"),
+    ("a :- \u00b2b.", 1, 6),
+    ("a :- b\u00b2 .", 1, 6),
     # the blanks are space, tab, CR and LF only
-    ("a :-\xa0b.", 1, 5, "unexpected character '\\xa0'"),
-    ("a\x0b:- b.", 1, 2, "unexpected character '\\x0b'"),
+    ("a :-\xa0b.", 1, 5),
+    ("a\x0b:- b.", 1, 2),
 ])
-def test_error_positions(text, line, col, message):
+def test_error_positions(text, line, col):
     with pytest.raises(ParseError) as err:
         parse_program(text)
     assert (err.value.line, err.value.column) == (line, col)
     assert err.value.snippet == text.split("\n")[line - 1]
-    if message is not None:
-        assert err.value.message == message
+    if text in _MESSAGES:
+        assert err.value.message == _MESSAGES[text]
 
 
 def test_triple_negation_asks_for_single():
