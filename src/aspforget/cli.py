@@ -31,20 +31,24 @@ from .semantic import f_sem, fsp_target_models, satisfies_omega
 
 
 def _read_program(path: str) -> Program:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    source = "<stdin>" if path == "-" else path
+    try:
+        if path == "-":
+            # decode the bytes, if any, so bad input is refused, not escaped
+            text = getattr(sys.stdin, "buffer", sys.stdin).read()
+            if isinstance(text, bytes):
+                text = text.decode("utf-8")
+        else:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ValueError(f"cannot read {path}: {exc.strerror}")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"cannot read {path}: {exc}")
+    except OSError as exc:
+        raise ValueError(f"cannot read {source}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {source}: {exc}")
     try:
         return parse_program(text)
     except ParseError as exc:
-        exc.source = "<stdin>" if path == "-" else path
+        exc.source = source
         raise
 
 

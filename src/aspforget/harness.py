@@ -7,13 +7,11 @@ of bounded depth, that forgetting preserves answer sets modulo the
 forgotten atom: exact equality when the obstruction criterion is false,
 superset inclusion otherwise.
 
-Unions with contexts are evaluated through the identity that the HT-models
-of a union are the intersection of the HT-models over a common signature.
-Each context's models are enumerated once into an :class:`HTModelSet`,
-whose rows are int masks (there-world -> bitset of here-worlds), so a
-context costs one AND per there-world shared with the program.  Its answer
-sets are the there-worlds whose AND holds that world alone; they are
-compared as masks, and decoded into atom sets only for a failure report.
+Unions with contexts go through the identity that the HT-models of a union
+are the intersection of its parts' models over one signature.  The rows of
+all contexts are indexed once per signature, by there-world and row, so a
+there-world of the program is one memoized lookup that yields the bitset
+of contexts under which it is an answer set; only failures are decoded.
 """
 
 from __future__ import annotations
@@ -22,11 +20,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .core import Program, Rule, rule
 from .forget import forget
-from .ht_semantics import (HTModelSet, check_signature, ht_models,
+from .ht_semantics import (HTModelSet, _bits, check_signature, ht_models,
                            signature_limit, world_masks)
 from .parser_io import parse_program
 from .semantic import _obstructed
@@ -169,27 +167,60 @@ class SPReport:
         return not self.failures
 
 
-@lru_cache(maxsize=64)
-def _context_pairs(sigma_ctx: FrozenSet[str], universe: FrozenSet[str],
-                   depth: int, limit: Optional[int]):
-    return tuple((ctx, ht_models(ctx, universe, len(universe)))
-                 for ctx in enumerate_contexts(sigma_ctx, depth, limit))
+class _ContextIndex:
+    """The contexts of one :func:`enumerate_contexts` call as bit i of an
+    int, in its order: ``by_world[y][row]`` holds those whose HT-model row
+    at there-world y is ``row``.  No context's models or program are kept."""
+
+    def __init__(self, sigma_ctx: FrozenSet[str], universe: FrozenSet[str],
+                 depth: int, limit: Optional[int]):
+        self.by_world: Dict[int, Dict[int, int]] = {}
+        self.memo: Dict[Tuple[int, int], int] = {}
+        self.count = 0
+        for i, ctx in enumerate(enumerate_contexts(sigma_ctx, depth, limit)):
+            for y, row in ht_models(ctx, universe, len(universe)).rows.items():
+                groups = self.by_world.setdefault(y, {})
+                groups[row] = groups.get(row, 0) | 1 << i
+            self.count = i + 1
+
+    def answers(self, y: int, row: int) -> int:
+        """The contexts under which y is an answer set of a program whose
+        row at y is ``row``: those whose row rc there leaves y alone in it."""
+        bits = self.memo.get((y, row))
+        if bits is None:
+            bits = 0
+            for rc, group in self.by_world.get(y, {}).items():
+                if rc & row == 1 << y:
+                    bits |= group
+            self.memo[y, row] = bits
+        return bits
 
 
-def _contexts(sigma_ctx: FrozenSet[str], universe: FrozenSet[str],
-              depth: int, limit: Optional[int]
-              ) -> Iterator[Tuple[Program, HTModelSet]]:
-    """The contexts of :func:`enumerate_contexts` with their HT-model
-    indexes over ``universe``, in its order.  Depth 0 and 1 come from the
-    cached tables; a depth-2 context's index is the meet of its two
-    single-rule indexes, one AND per shared there-world, built on the fly
-    and not cached."""
-    tables = _context_pairs(sigma_ctx, universe, min(depth, 1), limit)
-    yield from tables
-    if depth == 2:
-        singles = tables[1 << len(sigma_ctx):]
-        for (c1, m1), (c2, m2) in combinations(singles, 2):
-            yield Program(c1.rules | c2.rules), m1 & m2
+_context_index = lru_cache(maxsize=64)(_ContextIndex)
+
+
+def _compare(index: _ContextIndex, models_p: HTModelSet,
+             models_f: HTModelSet, qbit: int, omega: bool):
+    """Per world, the contexts under which it is an answer set of p, q
+    removed (``expected``), and of the result (``actual``); and the
+    contexts where these break equality (under Omega, inclusion)."""
+    expected: Dict[int, int] = {}
+    actual: Dict[int, int] = {}
+    for side, models, keep in ((expected, models_p, ~qbit),
+                               (actual, models_f, ~0)):
+        for y, row in models.rows.items():
+            side[y & keep] = side.get(y & keep, 0) | index.answers(y, row)
+    bad = 0
+    for w in expected.keys() | actual.keys():
+        e, a = expected.get(w, 0), actual.get(w, 0)
+        bad |= e & ~a if omega else e ^ a
+    return expected, actual, bad
+
+
+def _failure(ctx: Program, expected, actual, i: int, decode) -> SPFailure:
+    def at(side):
+        return frozenset(decode(w) for w, b in side.items() if b >> i & 1)
+    return SPFailure(ctx, at(expected), at(actual))
 
 
 def verify_sp(p: Program, q: str, depth: int = 1,
@@ -202,7 +233,11 @@ def verify_sp(p: Program, q: str, depth: int = 1,
     with ``q`` removed; when it is true they must contain them.  ``limit``
     caps the signature of ``p`` and of the contexts; without it the
     ``ASPFORGET_SIGNATURE_LIMIT`` environment variable does, else 6 atoms.
+    Each there-world of ``p`` and of the result is one lookup in a cached
+    index of the contexts, and yields the contexts it is an answer set in.
     """
+    if depth not in (0, 1, 2):
+        raise ValueError("depth must be 0, 1 or 2")
     limit = signature_limit(limit, DEFAULT_CONTEXT_LIMIT)
     check_signature(p.signature, limit)
     f = forget(p, q) if result is None else result
@@ -210,21 +245,29 @@ def verify_sp(p: Program, q: str, depth: int = 1,
     # The guards on p and on the contexts are the only caps; the models
     # over the universe, at most one atom wider, apply none of their own.
     models_p = ht_models(p, universe, len(universe))
+    models_f = ht_models(f, universe, len(universe))
     masks = world_masks(universe)
     qbit = masks.bit[q]
     omega = _obstructed(models_p, qbit)
-    rp, rf = models_p.rows, ht_models(f, universe, len(universe)).rows
     decode = masks.decoder()
-    failures = []
-    checked = 0
-    for ctx, models_ctx in _contexts(universe - {q}, universe, depth, limit):
-        checked += 1
-        rc = models_ctx.rows
-        expected = {y & ~qbit for y, r in rp.items()
-                    if y in rc and r & rc[y] == 1 << y}
-        actual = {y for y, r in rf.items() if y in rc and r & rc[y] == 1 << y}
-        ok = expected <= actual if omega else expected == actual
-        if not ok:
-            failures.append(SPFailure(ctx, frozenset(map(decode, expected)),
-                                      frozenset(map(decode, actual))))
+    sigma_ctx = universe - {q}
+    index = _context_index(sigma_ctx, universe, min(depth, 1), limit)
+    expected, actual, bad = _compare(index, models_p, models_f, qbit, omega)
+    contexts = (enumerate_contexts(sigma_ctx, min(depth, 1), limit)
+                if bad or depth == 2 else [])
+    failures = [_failure(contexts[i], expected, actual, i, decode)
+                for i in _bits(bad)]
+    checked = index.count
+    if depth == 2:
+        # Pair (i, j), i < j, fails where the depth-1 index, asked with the
+        # rows met with single i's, sets bit j; pairs come in that order.
+        for i in range(1 << len(sigma_ctx), len(contexts)):
+            ci = contexts[i]
+            models_ci = ht_models(ci, universe, len(universe))
+            expected, actual, bad = _compare(index, models_p & models_ci,
+                                             models_f & models_ci, qbit, omega)
+            for j in _bits(bad >> i + 1 << i + 1):
+                failures.append(_failure(Program(ci.rules | contexts[j].rules),
+                                         expected, actual, j, decode))
+            checked += len(contexts) - i - 1
     return SPReport(p, q, omega, checked, tuple(failures))

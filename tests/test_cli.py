@@ -390,6 +390,18 @@ def test_undecodable_file_is_named(tmp_path, capsys):
                           f"can't decode byte 0xff in position 8")
 
 
+def test_undecodable_stdin_is_named(capsys, monkeypatch):
+    # a text stream that escapes bad bytes, as sys.stdin does under a
+    # POSIX locale: the bytes beneath it are decoded strictly instead
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(b"a.\n\xff\n"), encoding="utf-8",
+        errors="surrogateescape"))
+    code, out, err = run(capsys, "normalize", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("aspforget: cannot read <stdin>: 'utf-8' codec "
+                          "can't decode byte 0xff in position 3")
+
+
 @pytest.mark.parametrize("value", ["abc", "-1"])
 def test_bad_signature_limit_variable(lp, capsys, monkeypatch, value):
     monkeypatch.setenv("ASPFORGET_SIGNATURE_LIMIT", value)

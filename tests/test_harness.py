@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from aspforget.core import Program, rule
 from aspforget.forget import forget
@@ -15,6 +16,7 @@ from aspforget.parser_io import format_program, parse_program
 from aspforget.semantic import satisfies_omega
 
 from . import oracles
+from .conftest import programs
 
 
 def fs(*atoms):
@@ -163,28 +165,62 @@ def test_verify_sp_accepts_explicit_result(golden):
     assert report.ok
 
 
+def per_context_report(p, q, depth, result):
+    """The report of verify_sp, built context by context from each union's
+    own HT-models over p's signature widened by q."""
+    universe = p.signature | {q}
+    omega = satisfies_omega(p, {q})[0]
+    contexts = enumerate_contexts(universe - {q}, depth)
+    failures = []
+    for ctx in contexts:
+        expected = frozenset(s - {q} for s in answer_sets_from_pairs(
+            ht_models(Program(p.rules | ctx.rules), universe)))
+        actual = answer_sets_from_pairs(
+            ht_models(Program(result.rules | ctx.rules), universe))
+        if not (expected <= actual if omega else expected == actual):
+            failures.append(SPFailure(ctx, expected, actual))
+    return SPReport(p, q, omega, len(contexts), tuple(failures))
+
+
 def test_verify_sp_depth2_matches_fresh_context_models(golden):
-    # depth-2 pair tables are intersections of single-rule tables; the
-    # report must equal one built from each context's own HT-models, for
-    # the real result and for a wrong one that fails under many contexts
+    # depth-2 pairs are read from the depth-1 index; the report must equal
+    # one built from each context's own models, for the real result and
+    # for a wrong one that fails under many contexts
     p = golden["positive_link"]
-    universe = p.signature
-    pairs_p = ht_models(p, universe)
-    contexts = enumerate_contexts(universe - {"q"}, 2)
     for result in (forget(p, "q"), Program()):
-        pairs_f = ht_models(result, universe)
-        failures = []
-        for ctx in contexts:
-            pairs_ctx = ht_models(ctx, universe)
-            expected = frozenset(s - {"q"} for s in
-                                 answer_sets_from_pairs(pairs_p & pairs_ctx))
-            actual = answer_sets_from_pairs(pairs_f & pairs_ctx)
-            if expected != actual:
-                failures.append(SPFailure(ctx, expected, actual))
-        want = SPReport(p, "q", False, len(contexts), tuple(failures))
+        want = per_context_report(p, "q", 2, result)
         assert verify_sp(p, "q", depth=2, result=result) == want
-    assert len(contexts) == 4 + 33 + 33 * 32 // 2
-    assert failures
+    assert want.contexts_checked == 4 + 33 + 33 * 32 // 2
+    assert want.failures
+
+
+@settings(max_examples=30, deadline=None)
+@given(programs, st.sampled_from((0, 1, 2)), st.integers(-1, 3))
+@example(GOLDEN_PROGRAMS["self_cycle_mixed"], 1, -1)
+@example(GOLDEN_PROGRAMS["self_cycle_mixed"], 2, 0)
+def test_verify_sp_matches_per_context_reference(p, depth, drop):
+    # failures, their order and their projected answer sets, in both
+    # modes, for forget's result and for a wrong one: the result short of
+    # one rule, or the empty program
+    p = p.widen({"q"})
+    f = forget(p, "q")
+    rules = sorted(f.rules, key=str)
+    wrong = (Program(f.rules - {rules[drop % len(rules)]})
+             if rules and drop >= 0 else Program())
+    for result in (f, wrong):
+        assert verify_sp(p, "q", depth=depth, result=result) \
+            == per_context_report(p, "q", depth, result)
+
+
+def test_verify_sp_depth2_context_count(golden):
+    report = verify_sp(golden["disjunctive_mixed"], "q", depth=2)
+    assert report.ok and report.contexts_checked == 56648
+
+
+@pytest.mark.parametrize("depth", [-1, 3, 7])
+def test_verify_sp_rejects_other_depths(depth):
+    with pytest.raises(ValueError, match="depth must be 0, 1 or 2"):
+        verify_sp(parse_program("a :- q. q :- b."), "q", depth=depth)
 
 
 def test_verify_sp_omega_failures_report_projected_answer_sets(golden):
