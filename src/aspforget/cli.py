@@ -53,7 +53,9 @@ def _read_program(path: str) -> Program:
 
 
 def _atom_list(text: str) -> List[str]:
-    atoms = [check_atom(a.strip()) for a in text.split(",") if a.strip()]
+    """The atoms of a comma-separated list, each once, in order."""
+    atoms = list(dict.fromkeys(
+        check_atom(a.strip()) for a in text.split(",") if a.strip()))
     if not atoms:
         raise ValueError("empty atom list")
     return atoms

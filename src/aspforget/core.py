@@ -7,19 +7,20 @@ Rules are of the form
 and a :class:`Rule` is its four atom sets: the head H and the body parts P,
 N and NN (atoms under zero, one and two ``not``).  The parser, forgetting
 and printing all work on these sets, so structural equality ignores order
-and duplicates.  ``Rule`` and
-``Program`` are immutable and hashable, which lets rule sets and program
-collections behave like mathematical sets.  A program carries an explicit
-signature that is always a superset of the atoms occurring in its rules.
+and duplicates.  ``Rule`` is a named tuple of the four frozensets, so it
+is equal to, and hashes like, a plain 4-tuple of the same sets.  ``Rule``
+and ``Program`` are immutable and hashable, which lets rule sets and
+program collections behave like mathematical sets.  A program carries an
+explicit signature that is always a superset of the atoms occurring in
+its rules.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
-from functools import cached_property
-from typing import FrozenSet, Iterable, Iterator, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional,
+                    Tuple)
 
 ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
@@ -34,8 +35,47 @@ def check_atom(name: str) -> str:
     return sys.intern(name)
 
 
-@dataclass(frozen=True)
-class Rule:
+# How each of a rule's four atom sets prints, as the text before its first
+# atom and the text between two atoms.
+_FORMS = (("", " | "), ("", ", "), ("not ", ", not "),
+          ("not not ", ", not not "))
+
+
+def _set_text(atoms: FrozenSet[str], form: Tuple[str, str]) -> str:
+    prefix, joiner = form
+    return prefix + joiner.join(sorted(atoms)) if atoms else ""
+
+
+def _shared_text(atoms: FrozenSet[str], form: Tuple[str, str],
+                 known: Dict[FrozenSet[str], str]) -> str:
+    text = known.get(atoms)
+    if text is None:
+        text = known[atoms] = _set_text(atoms, form)
+    return text
+
+
+def rule_text(r: "Rule", memo: Optional[Tuple[Dict, ...]] = None) -> str:
+    """The canonical text of ``r``: head atoms alphabetically, then the
+    positive, ``not`` and ``not not`` body literals, alphabetically in each.
+
+    ``memo``, if given, holds one dict per part of the rule (head, P, N,
+    NN) from an atom set to its text there, so a set shared by many rules
+    is sorted and joined once.  The part is part of the key: ``{a,b}``
+    prints as ``a | b`` in the head and as ``a, b`` in P.
+    """
+    if memo is None:
+        head, p, n, nn = map(_set_text, r, _FORMS)
+    else:
+        head, p, n, nn = map(_shared_text, r, _FORMS, memo)
+    body = ", ".join(filter(None, (p, n, nn)))
+    if head and body:
+        return f"{head} :- {body}."
+    if head:
+        return f"{head}."
+    return f":- {body}." if body else ":-."
+
+
+class Rule(NamedTuple):
     """One rule; head and the three body parts are atom sets."""
 
     head: FrozenSet[str]
@@ -43,7 +83,7 @@ class Rule:
     nbody: FrozenSet[str]
     nnbody: FrozenSet[str]
 
-    @cached_property
+    @property
     def atoms(self) -> FrozenSet[str]:
         """All atoms occurring in the rule."""
         return self.head | self.pbody | self.nbody | self.nnbody
@@ -52,17 +92,7 @@ class Rule:
     def is_constraint(self) -> bool:
         return not self.head
 
-    def __str__(self) -> str:
-        head = " | ".join(sorted(self.head))
-        # positive, then ``not``, then ``not not``; alphabetical in each
-        body = ", ".join([*sorted(self.pbody),
-                          *("not " + a for a in sorted(self.nbody)),
-                          *("not not " + a for a in sorted(self.nnbody))])
-        if head and body:
-            return f"{head} :- {body}."
-        if head:
-            return f"{head}."
-        return f":- {body}." if body else ":-."
+    __str__ = rule_text
 
 
 def rule(head: Iterable[str] = (), pbody: Iterable[str] = (),
@@ -101,7 +131,7 @@ class Program:
         self._rules = frozenset(rules)
         atoms = set(signature)
         for r in self._rules:
-            atoms.update(r.head, r.pbody, r.nbody, r.nnbody)
+            atoms.update(*r)
         self._signature = frozenset(atoms)
 
     @property

@@ -37,12 +37,9 @@ matching does not depend on the iteration order of sets.
 from __future__ import annotations
 
 from itertools import chain
-from operator import attrgetter
 from typing import List, Tuple
 
 from .core import Program, Rule, rule_key
-
-_PARTS = attrgetter("head", "pbody", "nbody", "nnbody")
 
 
 def rule_size(r: Rule) -> int:
@@ -86,7 +83,7 @@ def _masks(rules: List[Rule]) -> List[int]:
     """Each rule as a bit set of its elements: bit ``i`` of block ``t``
     stands for the ``i``-th atom of ``rules`` in sorted order under tag
     ``t``."""
-    atoms = sorted(set().union(*chain.from_iterable(map(_PARTS, rules))))
+    atoms = sorted(set().union(*chain.from_iterable(rules)))
     bit = dict(zip(atoms, map((1).__lshift__, range(len(atoms)))))
     w = len(atoms)
     masks = []

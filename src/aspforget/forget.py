@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, Iterable, List, NamedTuple, Tuple
 
 from .asdual import as_dual
 from .core import Program, Rule, rule_key
@@ -51,8 +51,7 @@ class Partition:
     r4: FrozenSet[Rule]
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One emitted rule with the derivation family and source rules."""
 
     tag: str
@@ -85,7 +84,14 @@ def _split(p: Program, q: str) -> Partition:
 
 
 def _derivations(part: Partition, q: str) -> List[TraceEntry]:
-    """All rules emitted by the derivation families, with provenance."""
+    """All rules emitted by the derivation families, with provenance.
+
+    The families build their rules from a few atom sets of the source
+    rules, so the same set value recurs in many derived rules.  ``emit``
+    keeps one object per distinct value (its first), which holds the
+    memory of a large result near the number of distinct sets.  Plain
+    rules pass through as they are.
+    """
     qs = frozenset([q])
     # per rule: head, P, N and NN with q dropped
     cut = {r: (r.head - qs, r.pbody - qs, r.nbody - qs, r.nnbody - qs)
@@ -108,9 +114,12 @@ def _derivations(part: Partition, q: str) -> List[TraceEntry]:
     r0s, r2s, r3s, r4s = map(srt, (part.r0, part.r2, part.r3, part.r4))
     r14 = srt(part.r1 | part.r4)
     out: List[TraceEntry] = []
+    shared = {}.setdefault
 
     def emit(tag: str, head, pbody, nbody, nnbody, *sources: Rule) -> None:
-        out.append(TraceEntry(tag, Rule(head, pbody, nbody, nnbody), sources))
+        out.append(TraceEntry(tag, Rule(
+            shared(head, head), shared(pbody, pbody), shared(nbody, nbody),
+            shared(nnbody, nnbody)), sources))
 
     for r in srt(part.plain):
         out.append(TraceEntry("plain", r, (r,)))

@@ -16,11 +16,10 @@ Each step preserves the HT-models of the program.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import and_
 from typing import Iterable, List
 
 from .core import Program, Rule, is_tautological
+from .distance import rule_size
 
 
 def is_normal_form(p: Program) -> bool:
@@ -49,31 +48,44 @@ def _minimal_rules(rules: Iterable[Rule]) -> List[Rule]:
     of the set, kept or not; no order of testing is needed.  After
     deduplication, ``has[x]`` holds, as a bit per rule, the rules with
     element ``x`` (a head atom, or a body atom under zero, one or two
-    ``not``).  The AND of ``has`` over a rule's own elements is every rule
-    containing it; all of those but the rule itself are subsumed.  The
-    empty rule has no elements, so it subsumes every other rule.  The cost
-    is the rules' total element count times one AND as wide as the set.
+    ``not``); the atoms of each tag have their own dict of columns.  A
+    rule that strictly contains rule i has more elements than i.  The
+    rules are numbered largest first, so those are the rules numbered
+    below the first rule of i's size, and the AND for i starts from them
+    and ANDs in ``has`` over i's own elements, stopping once it is 0;
+    what is left is subsumed.  The empty rule has no elements, so it
+    subsumes every other rule, and the largest rules are never ANDed.
+    The cost is at most the rules' total element count times one AND as
+    wide as the set.  The columns of all rules share one flat list: a
+    list per rule would be one more container per rule for the cyclic
+    garbage collector to count and scan.
     """
-    rules = list(set(rules))
+    rules = sorted(set(rules), key=rule_size, reverse=True)
     n = len(rules)
-    index: dict = {}
+    index = ({}, {}, {}, {})  # per tag: atom -> column
     cols: List[bytearray] = []
-    own = []
+    ids: List[int] = []  # rule i's columns: ids[ends[i - 1]:ends[i]]
+    ends = []
     for i, r in enumerate(rules):
-        ids = []
-        for tag, atoms in enumerate((r.head, r.pbody, r.nbody, r.nnbody)):
+        for column_of, atoms in zip(index, r):
             for a in atoms:
-                x = index.setdefault((tag, a), len(cols))
+                x = column_of.setdefault(a, len(cols))
                 if x == len(cols):
                     cols.append(bytearray(b"0") * n)
                 cols[x][~i] = 49  # ASCII "1", read as bit i by int(col, 2)
                 ids.append(x)
-        own.append(ids)
+        ends.append(len(ids))
     has = [int(col, 2) for col in cols]
-    everyone = (1 << n) - 1
-    subsumed = 0
-    for i, ids in enumerate(own):
-        containing = reduce(and_, map(has.__getitem__, ids), everyone)
-        subsumed |= containing ^ (1 << i)  # all but rule i itself
+    subsumed, size, larger, start = 0, None, 0, 0
+    for i, end in enumerate(ends):
+        if end - start != size:
+            size, larger = end - start, (1 << i) - 1
+        containing = larger
+        for x in ids[start:end]:
+            if not containing:
+                break
+            containing &= has[x]
+        subsumed |= containing
+        start = end
     flags = format(subsumed, f"0{n}b")[::-1]
     return [r for r, f in zip(rules, flags) if f == "0"]

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from typing import List
 
-from .core import ATOM_RE, Program, Rule
+from .core import ATOM_RE, Program, Rule, rule_text
 
 
 class ParseError(Exception):
@@ -142,7 +142,10 @@ def format_rule(r: Rule) -> str:
 def format_program(p: Program) -> str:
     """Canonical rendering: sorted rules, one per line, trailing newline.
 
-    The empty program renders as the empty string.
+    The empty program renders as the empty string.  Each distinct atom
+    set is rendered once per call, in its place in the rule (head, P, N
+    or NN), by the renderer of ``str(rule)``.
     """
-    lines = sorted(format_rule(r) for r in p.rules)
+    memo = ({}, {}, {}, {})
+    lines = sorted(rule_text(r, memo) for r in p.rules)
     return "".join(line + "\n" for line in lines)

@@ -112,6 +112,15 @@ def test_forget_multiple_atoms_warns(lp, capsys):
                    "t :- not not t.\nt :- not s.\n")
 
 
+def test_forget_repeated_atom_counts_once(lp, capsys):
+    path = lp(SELF_CYCLE)
+    once = run(capsys, "forget", "--atom", "q", "--trace", path)
+    assert once[0] == 0 and once[1].startswith("% 3a: ")
+    assert run(capsys, "forget", "--atom", "q,q", "--trace", path) == once
+    assert (run(capsys, "forget", "--atoms", "q,a,q", path)
+            == run(capsys, "forget", "--atoms", "q,a", path))
+
+
 def test_forget_json(lp, capsys):
     code, out, _ = run(capsys, "--quiet", "forget", "--atom", "q", "--json",
                        lp(CHAIN))

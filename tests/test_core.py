@@ -52,6 +52,19 @@ def test_rule_accessors():
     assert rule().is_constraint
 
 
+def test_rule_is_an_immutable_value():
+    r = rule(["a"], ["b"], ["c"], ["d"])
+    with pytest.raises(AttributeError):
+        r.head = frozenset()
+    # equal sets held in distinct objects make an equal rule
+    copy = Rule(*(frozenset(set(s)) for s in r))
+    assert all(a is not b for a, b in zip(r, copy))
+    assert copy == r and hash(copy) == hash(r) and len({r, copy}) == 1
+    assert copy.atoms == frozenset("abcd")
+    # a named tuple: equal to the plain 4-tuple of its sets
+    assert r == (r.head, r.pbody, r.nbody, r.nnbody)
+
+
 def test_signature_examples(prog):
     assert prog("a :- b.").signature == {"a", "b"}
     assert Program().signature == frozenset()

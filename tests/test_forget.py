@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 
 from aspforget import normalform
-from aspforget.core import Program
-from aspforget.forget import (Partition, forget, forget_fast, forget_iterated,
-                              forget_with_trace, is_q_forgettable, partition)
+from aspforget.core import Program, Rule
+from aspforget.forget import (Partition, TraceEntry, forget, forget_fast,
+                              forget_iterated, forget_with_trace,
+                              is_q_forgettable, partition)
 from aspforget.harness import CorpusSpec, generate_corpus
 from aspforget.ht_semantics import answer_sets, ht_models, strongly_equivalent
 from aspforget.normalform import is_normal_form, normal_form
@@ -149,6 +150,25 @@ def test_trace_tags_and_sources(golden):
     # every surviving rule is derivable
     derived = {e.rule for e in trace}
     assert result.rules <= derived
+
+
+def test_trace_entry_is_an_immutable_value(golden):
+    _, trace = forget_with_trace(golden["chain_pos"], "q")
+    entry = trace[0]
+    assert (entry.tag, entry.rule, entry.sources) == tuple(entry)
+    assert isinstance(entry.rule, Rule) and all(
+        isinstance(s, Rule) for s in entry.sources)
+    with pytest.raises(AttributeError):
+        entry.tag = "1a"
+    assert TraceEntry(*entry) == entry
+
+
+def test_emitted_rules_share_their_atom_sets():
+    # one object per distinct atom set, in the trace and in the result
+    result, trace = forget_with_trace(stress_family(4), "q")
+    for rules in ([e.rule for e in trace], result.rules):
+        sets = [s for r in rules for s in r]
+        assert len({id(s) for s in sets}) == len(set(sets))
 
 
 def test_trace_side_condition_prunes_family_4(golden):

@@ -119,6 +119,18 @@ def test_round_trip_random_programs(p):
     assert parse_program(format_program(p)) == p
 
 
+@given(program_strategy)
+def test_program_text_is_the_sorted_rule_texts(p):
+    assert format_program(p) == "".join(sorted(str(r) + "\n" for r in p.rules))
+
+
+def test_program_text_keeps_a_set_apart_by_its_place(prog):
+    # {a,b} as a head and as P, {e} as N and as NN
+    p = prog("a | b :- c. d :- a, b. x :- not e. y :- not not e.")
+    assert format_program(p) == ("a | b :- c.\nd :- a, b.\n"
+                                 "x :- not e.\ny :- not not e.\n")
+
+
 def _tokens(r):
     """The tokens of ``r`` as canonical printing orders them."""
     head = [t for a in sorted(r.head) for t in ("|", a)][1:]
