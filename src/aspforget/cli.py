@@ -82,10 +82,17 @@ def _emit(args, payload, text) -> None:
         sys.stdout.writelines(text())
 
 
-def _emit_program(args, p: Program) -> None:
-    _emit(args, lambda: {"signature": sorted(p.signature),
-                         "rules": [str(r) for r in p]},
-          lambda: [format_program(p)])
+def _emit_program(args, p: Program, trace=None) -> None:
+    """Print ``p``, after the ``trace`` entries if given."""
+    def payload():
+        extra = {} if trace is None else {"trace": [
+            {"tag": e.tag, "rule": str(e.rule),
+             "sources": [str(s) for s in e.sources]} for e in trace]}
+        return {"signature": sorted(p.signature),
+                "rules": [str(r) for r in p], **extra}
+    _emit(args, payload, lambda: [
+        f"% {e.tag}: {e.rule}  <=  {'; '.join(map(str, e.sources))}\n"
+        for e in trace or ()] + [format_program(p)])
 
 
 def _verdict(args, flag: bool, yes: str, no: str) -> int:
@@ -112,11 +119,8 @@ def _cmd_forget(args) -> int:
         trace = ()
     else:
         result, trace = _forget(p, atoms[0], fast=args.fast)
-    if args.trace:
-        for entry in sorted(trace, key=lambda e: (e.tag, rule_key(e.rule))):
-            srcs = "; ".join(str(s) for s in entry.sources)
-            print(f"% {entry.tag}: {entry.rule}" + (f"  <=  {srcs}" if srcs else ""))
-    _emit_program(args, result)
+    _emit_program(args, result, sorted(
+        trace, key=lambda e: (e.tag, rule_key(e.rule))) if args.trace else None)
     if args.check_oracle:
         want = fsp_target_models(p, set(atoms), limit=args.limit)
         got = ht_models(result, want.sigma, limit=args.limit)

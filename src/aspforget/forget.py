@@ -14,24 +14,21 @@ they use the forgotten atom q:
 Plain rules pass through untouched.  The remaining rules are combined into
 q-free derivations: producers (r4, and r3 under its choice) are inlined
 into consumers (r0, r2), and blocker sets from :mod:`aspforget.asdual`
-cover the ways q can fail to be derivable.  The union is normalized again
-at the end.  The result preserves the answer sets of the original program
-modulo q under every q-free context whenever any forgetting operator can
-(and is a sound over-approximation otherwise, see
+cover the ways q can fail to be derivable.  Each family is one row of
+``_FAMILIES``: a derived rule unions, part by part (head, P, N and NN for
+the positive, ``not`` and ``not not`` body), a lead rule and one choice
+per level, q cut out.  A source rule goes in as it is, as ``not not`` of
+its body and ``not`` of its head, or as its body and ``not`` of its head;
+a blocker adds its (N, NN) pair.  The union is normalized again at the end.
+The result preserves the answer sets of the original program modulo q
+under every q-free context whenever any forgetting operator can (and is a
+sound over-approximation otherwise, see
 :func:`aspforget.semantic.satisfies_omega`).
-
-Derived rules are assembled from the four atom sets of a rule (head, P,
-N and NN for the positive, ``not`` and ``not not`` body parts): ``not``
-of head atoms adds them to N, ``not not`` of a body maps P to NN and
-keeps N and NN, and a blocker from :func:`aspforget.asdual.as_dual` is
-an (N, NN) pair added to the rule's own.  The blockers of each distinct
-rule set are computed once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import FrozenSet, Iterable, List, NamedTuple, Tuple
 
 from .asdual import as_dual
@@ -83,23 +80,82 @@ def _split(p: Program, q: str) -> Partition:
     return Partition(**{k: frozenset(v) for k, v in buckets.items()})
 
 
-def _derivations(part: Partition, q: str) -> List[TraceEntry]:
-    """All rules emitted by the derivation families, with provenance.
+AS_IS, NOT_NOT, BODY = 0, 1, 2  # where a source's (H, P, N, NN), q cut out, go
+_NONE: FrozenSet[str] = frozenset()
 
-    The families build their rules from a few atom sets of the source
-    rules, so the same set value recurs in many derived rules.  ``emit``
-    keeps one object per distinct value (its first), which holds the
-    memory of a large result near the number of distinct sets.  Plain
-    rules pass through as they are.
+
+def _place(how: int, h, p, n, nn):
+    if how == AS_IS:  # the rule as it is
+        return h, p, n, nn
+    if how == NOT_NOT:  # `not not` of its body, `not` of its head
+        return _NONE, _NONE, h | n, p | nn
+    return _NONE, p, h | n, nn  # BODY: its body, `not` of its head
+
+
+# A level gives one choice per derived rule:
+#   ("rule", B, how)  each rule of bucket B in rule_key order, placed how,
+#                     skipping a rule already among the sources;
+#   ("own", B)        each blocker of B without the lead, then each head
+#                     atom of the lead, sorted, under `not not`;
+#   ("free", B)       each blocker of all of B whose N avoids the lead's
+#                     P and NN and whose NN avoids the lead's N.
+_FAMILIES = (  # tag, lead bucket (lead placed AS_IS), then the levels
+    ("1a", "r0",  ("rule", "r4", AS_IS)),
+    ("2a", "r0",  ("rule", "r3", AS_IS), ("rule", "r14", NOT_NOT)),
+    ("3a", "r0",  ("rule", "r3", BODY), ("own", "r02")),
+    ("1b", "r2",  ("rule", "r4", NOT_NOT)),
+    ("2b", "r2",  ("rule", "r3", NOT_NOT), ("rule", "r14", NOT_NOT)),
+    ("3b", "r2",  ("rule", "r3", NOT_NOT), ("own", "r02")),
+    ("4",  "r14", ("free", "r34")),
+    ("5",  "r14", ("rule", "r3", NOT_NOT), ("rule", "r02", NOT_NOT), ("free", "r4")),
+    ("6",  "r14", ("rule", "r3", NOT_NOT), ("own", "r14")),
+    ("7",  "r0",  ("rule", "r3", AS_IS), ("rule", "r3", NOT_NOT), ("own", "r02")),
+)
+
+
+def _walk(emit, duals, cut, tag: str, lead: Rule, levels, h, p, n, nn,
+          srcs: Tuple[Rule, ...]) -> None:
+    """Emit ``lead``'s ``tag`` rules: the parts and sources so far, plus one
+    choice per level.  Module level: a closure calling itself is a cycle."""
+    (kind, arg), rest = levels[0], levels[1:]
+    if kind == "rule":
+        for r, (h1, p1, n1, nn1) in arg:
+            if r in srcs:
+                continue
+            if rest:
+                _walk(emit, duals, cut, tag, lead, rest, h | h1, p | p1,
+                      n | n1, nn | nn1, srcs + (r,))
+            else:
+                emit(tag, h | h1, p | p1, n | n1, nn | nn1, srcs + (r,))
+    elif kind == "own":
+        for dn, dnn in duals(arg - {lead}):
+            for a in sorted(cut[lead][0]):
+                emit(tag, h, p, n | dn, nn | dnn | {a}, srcs)
+    else:
+        _, lp, ln, lnn = cut[lead]
+        for dn, dnn in duals(arg):
+            if not (dn & lp or dn & lnn or dnn & ln):
+                emit(tag, h, p, n | dn, nn | dnn, srcs)
+
+
+def _derivations(part: Partition, q: str) -> List[TraceEntry]:
+    """The trace entries of :func:`forget_with_trace`, in its order.
+
+    A row with an empty ``rule`` level emits nothing and is skipped.
+    ``emit`` keeps one object per distinct atom set (its first), which
+    holds the memory of a large result near the number of distinct sets.
     """
     qs = frozenset([q])
+    buckets = {**vars(part), "r02": part.r0 | part.r2,
+               "r14": part.r1 | part.r4, "r34": part.r3 | part.r4}
     # per rule: head, P, N and NN with q dropped
     cut = {r: (r.head - qs, r.pbody - qs, r.nbody - qs, r.nnbody - qs)
-           for r in part.r0 | part.r1 | part.r2 | part.r3 | part.r4}
+           for r in buckets["r02"] | buckets["r34"] | part.r1}
+    order = sorted(cut, key=rule_key)
     blockers: dict = {}
-
-    def srt(rules: Iterable[Rule]) -> List[Rule]:
-        return sorted(rules, key=rule_key)
+    out = [TraceEntry("plain", r, (r,))
+           for r in sorted(part.plain, key=rule_key)]
+    shared = {}.setdefault
 
     def duals(rules: FrozenSet[Rule]
               ) -> List[Tuple[FrozenSet[str], FrozenSet[str]]]:
@@ -111,94 +167,29 @@ def _derivations(part: Partition, q: str) -> List[TraceEntry]:
                 + [(2, a) for a in sorted(d[1])]))
         return blockers[rules]
 
-    r0s, r2s, r3s, r4s = map(srt, (part.r0, part.r2, part.r3, part.r4))
-    r14 = srt(part.r1 | part.r4)
-    out: List[TraceEntry] = []
-    shared = {}.setdefault
+    def emit(tag: str, h, p, n, nn, sources: Tuple[Rule, ...]) -> None:
+        out.append(TraceEntry(tag, Rule(shared(h, h), shared(p, p),
+                                        shared(n, n), shared(nn, nn)),
+                              sources))
 
-    def emit(tag: str, head, pbody, nbody, nnbody, *sources: Rule) -> None:
-        out.append(TraceEntry(tag, Rule(
-            shared(head, head), shared(pbody, pbody), shared(nbody, nbody),
-            shared(nnbody, nnbody)), sources))
-
-    for r in srt(part.plain):
-        out.append(TraceEntry("plain", r, (r,)))
-
-    for r0 in r0s:
-        _, p0, n0, nn0 = cut[r0]
-        # 1a: inline a producer into a positive consumer.
-        for r4 in r4s:
-            h4, p4, n4, nn4 = cut[r4]
-            emit("1a", r0.head | h4, p0 | p4, n0 | n4, nn0 | nn4, r0, r4)
-        for r3 in r3s:
-            h3, p3, n3, nn3 = cut[r3]
-            # 2a: the self-cycle fires because some r1/r4 rule supports it.
-            for rp in r14:
-                hp, pp, np_, nnp = cut[rp]
-                emit("2a", r0.head | h3, p0 | p3, n0 | n3 | hp | np_,
-                     nn0 | nn3 | pp | nnp, r0, r3, rp)
-            # 3a: the self-cycle fires through the consumer's own head.
-            for dn, dnn in duals((part.r0 | part.r2) - {r0}):
-                for h in sorted(r0.head):
-                    emit("3a", r0.head, p0 | p3, n0 | dn | n3 | h3,
-                         nn0 | {h} | dnn | nn3, r0, r3)
-
-    for r2 in r2s:
-        _, p2, n2, nn2 = cut[r2]
-        # 1b: a producer supports a double-negation consumer.
-        for r4 in r4s:
-            h4, p4, n4, nn4 = cut[r4]
-            emit("1b", r2.head, p2, n2 | h4 | n4, nn2 | p4 | nn4, r2, r4)
-        for r3 in r3s:
-            h3, p3, n3, nn3 = cut[r3]
-            # 2b: the self-cycle fires thanks to some r1/r4 rule.
-            for rp in r14:
-                hp, pp, np_, nnp = cut[rp]
-                emit("2b", r2.head, p2, n2 | h3 | hp | n3 | np_,
-                     nn2 | p3 | nn3 | pp | nnp, r2, r3, rp)
-            # 3b: the self-cycle fires through the consumer's own head.
-            for dn, dnn in duals((part.r0 | part.r2) - {r2}):
-                for h in sorted(r2.head):
-                    emit("3b", r2.head, p2, n2 | h3 | n3 | dn,
-                         nn2 | p3 | nn3 | {h} | dnn, r2, r3)
-
-    for rp in r14:
-        hp, pp, np_, nnp = cut[rp]
-        # ``not`` of a body literal of rp: P and NN go to N, N goes to NN
-        block_n, block_nn = pp | nnp, np_
-
-        def unblocked(rules):
-            return [(dn, dnn) for dn, dnn in duals(rules)
-                    if not (dn & block_n or dnn & block_nn)]
-
-        # 4: q underivable because every producer is blocked.
-        for dn, dnn in unblocked(part.r3 | part.r4):
-            emit("4", hp, pp, np_ | dn, nnp | dnn, rp)
-        for r3 in r3s:
-            h3, p3, n3, nn3 = cut[r3]
-            # 5: a self-cycle exists but each consumer absorbs it and the
-            # plain producers are blocked.
-            for r in srt(part.r0 | part.r2):
-                hr, pr, nr, nnr = cut[r]
-                n5, nn5 = np_ | hr | h3 | nr | n3, nnp | pr | nnr | p3 | nn3
-                for dn, dnn in unblocked(part.r4):
-                    emit("5", hp, pp, n5 | dn, nn5 | dnn, rp, r3, r)
-            # 6: the self-cycle fires through this rule's own head.
-            for dn, dnn in duals((part.r1 | part.r4) - {rp}):
-                for h in sorted(hp):
-                    emit("6", hp, pp, np_ | h3 | n3 | dn,
-                         nnp | p3 | nn3 | {h} | dnn, rp, r3)
-
-    for r0 in r0s:
-        _, p0, n0, nn0 = cut[r0]
-        # 7: two distinct self-cycles feed a consumer.
-        for r3, r3b in permutations(r3s, 2):
-            h3, p3, n3, nn3 = cut[r3]
-            hb, pb, nb, nnb = cut[r3b]
-            for dn, dnn in duals((part.r0 | part.r2) - {r0}):
-                for h in sorted(r0.head):
-                    emit("7", r0.head | h3, p0 | p3, n0 | n3 | hb | nb | dn,
-                         nn0 | nn3 | pb | nnb | {h} | dnn, r0, r3, r3b)
+    for row in _FAMILIES:  # indexed: a starred unpacking costs µs per call
+        leads = buckets[row[1]]
+        if not leads:
+            continue
+        levels = []
+        for level in row[2:]:
+            rules = buckets[level[1]]
+            if level[0] != "rule":
+                levels.append((level[0], rules))
+            elif rules:
+                levels.append(("rule", [(r, _place(level[2], *cut[r]))
+                                        for r in order if r in rules]))
+            else:
+                break
+        else:
+            for r in order:
+                if r in leads:
+                    _walk(emit, duals, cut, row[0], r, levels, *cut[r], (r,))
     return out
 
 
@@ -207,7 +198,10 @@ def forget_with_trace(p: Program, q: str) -> Tuple[Program, Tuple[TraceEntry, ..
 
     The trace describes the result before the final normalization, so every
     pre-normalization rule has at least one entry; the final program is the
-    normal form of those rules over the signature without ``q``.
+    normal form of those rules over the signature without ``q``.  The plain
+    rules come first, then one family at a time in the order of
+    ``_FAMILIES``: by lead rule, then by the choices of each level in turn
+    (rules in ``rule_key`` order, blockers by their literals as printed).
     """
     return _forget(p, q, fast=False)
 

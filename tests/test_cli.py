@@ -82,6 +82,24 @@ def test_forget_trace(lp, capsys):
     assert out == (DATA / "forget_trace_stress2.txt").read_text()
 
 
+def test_forget_trace_json_is_one_json_object(lp, capsys):
+    # under --json the trace is a list in the payload, in the text order
+    path = lp(CHAIN)
+    code, out, err = run(capsys, "forget", "--atom", "q", "--trace", "--json",
+                         path)
+    data = json.loads(out)
+    assert (code, err) == (0, "")
+    assert data["rules"] == ["t :- s.", "t :- w.", "v :- not s, not w."]
+    assert data["trace"][0] == {"tag": "1a", "rule": "t :- s.",
+                                "sources": ["t :- q.", "q :- s."]}
+    text = run(capsys, "forget", "--atom", "q", "--trace", path)[1]
+    assert [f"% {e['tag']}: {e['rule']}  <=  {'; '.join(e['sources'])}"
+            for e in data["trace"]] == [
+        line for line in text.splitlines() if line.startswith("% ")]
+    plain = run(capsys, "forget", "--atom", "q", "--json", path)[1]
+    assert "trace" not in json.loads(plain)
+
+
 def test_forget_fast_trace_prints_the_trace(lp, capsys):
     path = lp(CHAIN)
     full = run(capsys, "forget", "--atom", "q", "--trace", path)

@@ -1,5 +1,6 @@
 """The syntactic forgetting operator and its derivation machinery."""
 
+import hashlib
 import sys
 
 import pytest
@@ -13,7 +14,7 @@ from aspforget.forget import (Partition, TraceEntry, forget, forget_fast,
 from aspforget.harness import CorpusSpec, generate_corpus
 from aspforget.ht_semantics import answer_sets, ht_models, strongly_equivalent
 from aspforget.normalform import is_normal_form, normal_form
-from aspforget.parser_io import parse_program, parse_rule
+from aspforget.parser_io import format_program, parse_program, parse_rule
 from aspforget.semantic import fsp_target_models, satisfies_omega
 
 from .conftest import programs as program_strategy, stress_family
@@ -217,6 +218,40 @@ def test_trace_follows_blocker_order():
         "v :- not e, not not c1, not not u0.",
         "v :- not e, not not u0, not not u1.",
     ]
+
+
+def test_family_7_takes_two_distinct_self_cycles(prog):
+    # both orders of the two self-cycles, never one self-cycle twice
+    p = prog("q :- not not q, e. q :- not not q, f. t :- q, d.")
+    result, trace = forget_with_trace(p, "q")
+    assert [(str(e.rule), [str(s) for s in e.sources])
+            for e in trace if e.tag == "7"] == [
+        ("t :- d, e, not not f, not not t.",
+         ["t :- d, q.", "q :- e, not not q.", "q :- f, not not q."]),
+        ("t :- d, f, not not e, not not t.",
+         ["t :- d, q.", "q :- f, not not q.", "q :- e, not not q."]),
+    ]
+    assert result == prog("t :- d, e, not not t. t :- d, f, not not t.")
+    want = fsp_target_models(p, {"q"})
+    assert ht_models(result, want.sigma).members == want.members
+
+
+def test_forget_output_and_family_traces_are_frozen():
+    # one sha1 over the seed-1 corpus (forgetting q, then a) and the stress
+    # family at k = 2..5: per case, each trace entry in a stable sort by
+    # family, then the result text
+    cases = [(p, q) for p in generate_corpus(CorpusSpec(seed=1, count=2000))
+             for q in ("q", "a")]
+    cases += [(stress_family(k), "q") for k in range(2, 6)]
+    digest = hashlib.sha1()
+    for p, q in cases:
+        result, trace = forget_with_trace(p, q)
+        for e in sorted(trace, key=lambda e: e.tag):
+            digest.update(f"{e.tag}: {e.rule} <= "
+                          f"{'; '.join(map(str, e.sources))}\n".encode())
+        digest.update(format_program(result).encode())
+    assert len(cases) == 4030
+    assert digest.hexdigest() == "ee6d074f13611aa017a3ea3e5930a4c4efb7b9b1"
 
 
 # ---------------------------------------------------------------------------
