@@ -10,8 +10,9 @@ and program distances, and a randomized verification harness.
 """
 
 from .asdual import as_dual
-from .core import Program, Rule, check_atom, is_tautological, rule
-from .distance import program_distance, rule_distance, rule_size
+from .core import (Program, Rule, check_atom, is_tautological, rule,
+                   rule_size)
+from .distance import program_distance, rule_distance
 from .forget import (Partition, TraceEntry, forget, forget_fast,
                      forget_iterated, forget_with_trace, is_q_forgettable,
                      partition)

@@ -22,9 +22,8 @@ from .core import Program, check_atom, rule_key
 from .distance import program_distance
 from .forget import _forget, forget_iterated, is_q_forgettable
 from .harness import CorpusSpec, generate_corpus, verify_sp
-from .ht_semantics import (SignatureLimitError, _bits, answer_sets_from_pairs,
-                           equivalent, ht_models, strongly_equivalent,
-                           world_masks)
+from .ht_semantics import (SignatureLimitError, answer_sets_from_pairs,
+                           equivalent, ht_models, strongly_equivalent)
 from .normalform import normal_form
 from .parser_io import ParseError, format_program, parse_program
 from .semantic import f_sem, fsp_target_models, satisfies_omega
@@ -132,24 +131,6 @@ def _cmd_forget(args) -> int:
     return 0
 
 
-def _pairs_by_atoms(models) -> List[List[List[str]]]:
-    """The models as sorted ``[sorted(x), sorted(y)]`` lists, without a
-    sort.  Atom i is bit i, so the worlds in prefix order (the empty world,
-    those with atom 0, the rest) are in the order of their sorted atom
-    lists.  Each here-world collects its there-worlds in that order, and
-    all pairs share one label list per world."""
-    order = [0]
-    for i in reversed(range(len(models.sigma))):
-        order = [0] + [w | 1 << i for w in order] + order[1:]
-    decode = world_masks(models.sigma).decoder()
-    labels = {w: sorted(decode(w)) for w in order}
-    there = {w: [] for w in order}
-    for y in order:
-        for x in _bits(models.rows.get(y, 0)):
-            there[x].append(labels[y])
-    return [[labels[x], ly] for x in order for ly in there[x]]
-
-
 def _cmd_models(args) -> int:
     want_ht = args.ht or not args.answer
     want_as = args.answer or not args.ht
@@ -159,7 +140,7 @@ def _cmd_models(args) -> int:
     def payload():
         out = {"signature": sorted(models.sigma)}
         if want_ht:
-            out["ht_models"] = _pairs_by_atoms(models)
+            out["ht_models"] = models.pairs_by_atoms()
         if want_as:
             out["answer_sets"] = ans
         return out
@@ -298,19 +279,26 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--quiet", action="store_true",
                      help="suppress text for boolean verdicts")
     sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    program = argparse.ArgumentParser(add_help=False)
+    program.add_argument("program", help="program file or -")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("left", help="program file or -")
+    pair.add_argument("right", help="program file or -")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
 
-    def add(name, func, help_, **kw):
-        sp = sub.add_parser(name, help=help_, description=help_, **kw)
+    def add(name, func, help_, *parents):
+        sp = sub.add_parser(name, help=help_, description=help_,
+                            parents=parents)
         sp.set_defaults(func=func)
         return sp
 
-    sp = add("normalize", _cmd_normalize,
-             "drop tautologies, simplify bodies, remove subsumed rules")
-    sp.add_argument("program", help="program file or -")
-    sp.add_argument("--json", action="store_true")
+    add("normalize", _cmd_normalize,
+        "drop tautologies, simplify bodies, remove subsumed rules",
+        program, as_json)
 
-    sp = add("forget", _cmd_forget, "forget an atom syntactically")
-    sp.add_argument("program", help="program file or -")
+    sp = add("forget", _cmd_forget, "forget an atom syntactically",
+             program, as_json)
     g = sp.add_mutually_exclusive_group(required=True)
     g.add_argument("--atom", metavar="Q", help="atom to forget")
     g.add_argument("--atoms", metavar="Q1,Q2,..",
@@ -322,57 +310,49 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print per-rule derivation provenance as comments")
     sp.add_argument("--check-oracle", action="store_true",
                     help="verify the result against the semantic target")
-    sp.add_argument("--json", action="store_true")
 
-    sp = add("models", _cmd_models, "enumerate HT-models and answer sets")
-    sp.add_argument("program", help="program file or -")
+    sp = add("models", _cmd_models, "enumerate HT-models and answer sets",
+             program, as_json)
     sp.add_argument("--signature", metavar="A,B,..",
                     help="widen the signature before enumeration")
     sp.add_argument("--ht", action="store_true", help="HT-models only")
     sp.add_argument("--as", dest="answer", action="store_true",
                     help="answer sets only")
-    sp.add_argument("--json", action="store_true")
 
-    sp = add("equiv", _cmd_equiv, "decide strong equivalence of two programs")
-    sp.add_argument("left", help="program file or -")
-    sp.add_argument("right", help="program file or -")
+    sp = add("equiv", _cmd_equiv, "decide strong equivalence of two programs",
+             pair)
     sp.add_argument("--weak", action="store_true",
                     help="same answer sets only")
     sp.add_argument("--signature", dest="extra", metavar="A,B,..",
                     help="extra atoms for the comparison signature")
 
     sp = add("omega", _cmd_omega,
-             "decide whether persistence-preserving forgetting is impossible")
-    sp.add_argument("program", help="program file or -")
+             "decide whether persistence-preserving forgetting is impossible",
+             program, as_json)
     sp.add_argument("--atoms", metavar="Q1,Q2,..", required=True,
                     help="atoms to forget")
     sp.add_argument("--signature", metavar="A,B,..",
                     help="widen the signature first")
-    sp.add_argument("--json", action="store_true")
 
     sp = add("qforgettable", _cmd_qforgettable,
-             "check the linear-time forgettable class")
-    sp.add_argument("program", help="program file or -")
+             "check the linear-time forgettable class", program)
     sp.add_argument("--atom", metavar="Q", required=True)
 
     sp = add("distance", _cmd_distance,
-             "minimal literal-edit distance between two programs")
-    sp.add_argument("left", help="program file or -")
-    sp.add_argument("right", help="program file or -")
+             "minimal literal-edit distance between two programs",
+             pair, as_json)
     sp.add_argument("--witness", action="store_true",
                     help="also print the optimal rule pairing")
-    sp.add_argument("--json", action="store_true")
 
     sp = add("fsem", _cmd_fsem,
-             "counter-model construction realizing the semantic target")
-    sp.add_argument("program", help="program file or -")
+             "counter-model construction realizing the semantic target",
+             program, as_json)
     sp.add_argument("--atoms", metavar="Q1,Q2,..", required=True)
     sp.add_argument("--normalize", action="store_true",
                     help="post-process with the normal form (off by default)")
-    sp.add_argument("--json", action="store_true")
 
     sp = add("verify-sp", _cmd_verify_sp,
-             "test persistence under enumerated rule contexts")
+             "test persistence under enumerated rule contexts", as_json)
     sp.add_argument("program", nargs="?", default=None,
                     help="program file or - (omit to run a generated corpus)")
     sp.add_argument("--atom", metavar="Q", required=True)
@@ -380,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=_non_negative, default=25,
                     help="random corpus size when no file is given")
-    sp.add_argument("--json", action="store_true")
 
     return top
 

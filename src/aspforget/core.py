@@ -109,6 +109,11 @@ def rule_key(r: Rule) -> Tuple:
     return (sorted(r.head), sorted(r.pbody), sorted(r.nbody), sorted(r.nnbody))
 
 
+def rule_size(r: Rule) -> int:
+    """Head atoms plus body literals."""
+    return len(r.head) + len(r.pbody) + len(r.nbody) + len(r.nnbody)
+
+
 def is_tautological(r: Rule) -> bool:
     """True iff the rule can never act: an atom occurs in the head and the
     positive body, or positively and under ``not``, or under ``not`` and

@@ -39,12 +39,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import List, Tuple
 
-from .core import Program, Rule, rule_key
-
-
-def rule_size(r: Rule) -> int:
-    """Head atoms plus body literals."""
-    return len(r.head) + len(r.pbody) + len(r.nbody) + len(r.nnbody)
+from .core import Program, Rule, rule_key, rule_size  # noqa: F401
 
 
 def rule_distance(r1: Rule, r2: Rule) -> int:

@@ -170,14 +170,16 @@ class SPReport:
 class _ContextIndex:
     """The contexts of one :func:`enumerate_contexts` call as bit i of an
     int, in its order: ``by_world[y][row]`` holds those whose HT-model row
-    at there-world y is ``row``.  No context's models or program are kept."""
+    at there-world y is ``row``.  No context's models or program are kept,
+    and no limit: :func:`verify_sp` has guarded a superset of ``sigma_ctx``."""
 
     def __init__(self, sigma_ctx: FrozenSet[str], universe: FrozenSet[str],
-                 depth: int, limit: Optional[int]):
+                 depth: int):
         self.by_world: Dict[int, Dict[int, int]] = {}
         self.memo: Dict[Tuple[int, int], int] = {}
         self.count = 0
-        for i, ctx in enumerate(enumerate_contexts(sigma_ctx, depth, limit)):
+        contexts = enumerate_contexts(sigma_ctx, depth, len(sigma_ctx))
+        for i, ctx in enumerate(contexts):
             for y, row in ht_models(ctx, universe, len(universe)).rows.items():
                 groups = self.by_world.setdefault(y, {})
                 groups[row] = groups.get(row, 0) | 1 << i
@@ -251,7 +253,7 @@ def verify_sp(p: Program, q: str, depth: int = 1,
     omega = _obstructed(models_p, qbit)
     decode = masks.decoder()
     sigma_ctx = universe - {q}
-    index = _context_index(sigma_ctx, universe, min(depth, 1), limit)
+    index = _context_index(sigma_ctx, universe, min(depth, 1))
     expected, actual, bad = _compare(index, models_p, models_f, qbit, omega)
     contexts = (enumerate_contexts(sigma_ctx, min(depth, 1), limit)
                 if bad or depth == 2 else [])

@@ -19,7 +19,8 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+                    Optional)
 
 from .core import Program
 
@@ -145,7 +146,8 @@ class HTModelSet:
     here-worlds: bit X is set iff <X,Y> is a model.  Every key Y is a
     classical model, so bit Y is set in ``rows[Y]``, and every set bit X
     is a submask of Y; a there-world with no model has no key.
-    ``members`` and ``ordered_pairs`` decode the rows into atom sets.
+    ``members`` decodes the rows into a set of pairs, ``ordered_pairs``
+    into a size-ordered stream, ``pairs_by_atoms`` into sorted lists.
     """
 
     sigma: FrozenSet[str]
@@ -170,6 +172,23 @@ class HTModelSet:
             for x in _submasks(y):
                 if row >> x & 1:
                     yield HTInterpretation(decode(x), decode(y))
+
+    def pairs_by_atoms(self) -> List[List[List[str]]]:
+        """The models as sorted ``[sorted(x), sorted(y)]`` lists, without a
+        sort.  Atom i is bit i, so the worlds in prefix order (the empty
+        world, those with atom 0, the rest) are in the order of their
+        sorted atom lists.  Each here-world collects its there-worlds in
+        that order, and all pairs share one label list per world."""
+        order = [0]
+        for i in reversed(range(len(self.sigma))):
+            order = [0] + [w | 1 << i for w in order] + order[1:]
+        decode = world_masks(self.sigma).decoder()
+        labels = {w: sorted(decode(w)) for w in order}
+        there = {w: [] for w in order}
+        for y in order:
+            for x in _bits(self.rows.get(y, 0)):
+                there[x].append(labels[y])
+        return [[labels[x], ly] for x in order for ly in there[x]]
 
     def __and__(self, other: HTModelSet) -> HTModelSet:
         """The models of the union of both programs, over the one signature

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from .core import Program, Rule, is_tautological
-from .distance import rule_size
+from .core import Program, Rule, is_tautological, rule_size
 
 
 def is_normal_form(p: Program) -> bool:

@@ -36,8 +36,8 @@ from operator import and_
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .core import Program, Rule
-from .ht_semantics import (HTModelSet, _bits, _submasks, check_signature,
-                           ht_models, world_masks)
+from .ht_semantics import (HTModelSet, _bits, _submasks, ht_models,
+                           world_masks)
 
 SetFamily = FrozenSet[FrozenSet[str]]
 
@@ -123,13 +123,11 @@ def _obstructed(ht: HTModelSet, vmask: int) -> bool:
 
 
 def _models_and_vmask(p: Program, v: Iterable[str], limit: Optional[int]):
-    """The HT-models of ``p``, its signature without ``v`` (guarded first)
-    and the mask of ``v`` over the worlds of the models."""
+    """The HT-models of ``p`` (whose guard covers all of Σ), its signature
+    without ``v`` and the mask of ``v`` over the worlds of the models."""
     vs = frozenset(v)
-    sigma2 = p.signature - vs
-    check_signature(sigma2, limit)
     ht = ht_models(p, limit=limit)
-    return ht, sigma2, world_masks(ht.sigma).encode(vs & ht.sigma)
+    return ht, p.signature - vs, world_masks(ht.sigma).encode(vs & ht.sigma)
 
 
 def satisfies_omega(p: Program, v: Iterable[str],

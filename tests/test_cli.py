@@ -388,6 +388,15 @@ def test_signature_guard_exit(lp, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["omega", "fsem"])
+def test_signature_guard_counts_the_forgotten_atoms(lp, capsys, command):
+    # the models are enumerated over all 14 atoms, q included
+    path = lp("".join(f"x{i} :- q.\n" for i in range(13)))
+    code, out, err = run(capsys, command, "--atoms", "q", path)
+    assert (code, out) == (3, "")
+    assert "signature has 14 atoms" in err
+
+
 def test_verify_sp_context_guard_reads_the_limit_variable(lp, capsys,
                                                           monkeypatch):
     path = lp("x0. x1. x2. x3. x4. x5. x6. q :- x0.\n")

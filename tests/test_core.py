@@ -137,3 +137,23 @@ def test_modules_parse_as_python_3_10():
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 ast.parse(fh.read(), name, feature_version=(3, 10))
+
+
+def _imports(module):
+    """The (module, name) pairs a package module imports relatively."""
+    src = os.path.dirname(aspforget.__file__)
+    with open(os.path.join(src, module + ".py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return {(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def test_module_boundaries():
+    # the world encoding stays inside ht_semantics, and the normal form
+    # depends on core alone
+    assert [name for module, name in _imports("cli")
+            if module == "ht_semantics"
+            and (name.startswith("_") or name == "world_masks")] == []
+    assert [name for module, name in _imports("normalform")
+            if module == "distance"] == []

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from aspforget.core import Program, rule
 from aspforget.forget import forget
 from aspforget.harness import (GOLDEN_PROGRAMS, CorpusSpec, SPFailure,
-                               SPReport, enumerate_contexts, generate_corpus,
-                               verify_sp)
+                               SPReport, _context_index, enumerate_contexts,
+                               generate_corpus, verify_sp)
 from aspforget.ht_semantics import (SignatureLimitError, answer_sets,
                                     answer_sets_from_pairs, ht_models)
 from aspforget.parser_io import format_program, parse_program
@@ -274,6 +274,15 @@ def test_verify_sp_guards_are_the_only_caps(monkeypatch):
     p = parse_program("a :- b, not c. d :- e, not f.")
     report = verify_sp(p, "q", depth=0)
     assert report.ok and report.contexts_checked == 2 ** 6
+
+
+def test_verify_sp_shares_one_context_table_across_limits():
+    # the table of one signature and depth does not depend on the limit
+    p = parse_program("a :- b, not c. q :- a.")
+    _context_index.cache_clear()
+    for limit in (6, 7, None):
+        assert verify_sp(p, "q", limit=limit).ok
+    assert _context_index.cache_info().currsize == 1
 
 
 def test_verify_sp_omega_matches_criterion(small_corpus):

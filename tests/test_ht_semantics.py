@@ -152,7 +152,13 @@ def test_meet_is_models_of_union(p1, p2, extra):
 
 def assert_matches_oracle(p, sigma):
     models = ht_models(p, sigma)
-    assert models.members == oracles.ht_pairs(p.rules, sigma)
+    want = oracles.ht_pairs(p.rules, sigma)
+    assert models.members == want
+    # the JSON listing: sorted atom lists; the text listing: by size
+    assert models.pairs_by_atoms() \
+        == sorted([sorted(x), sorted(y)] for x, y in want)
+    assert list(models.ordered_pairs()) == sorted(
+        want, key=lambda m: (len(m[1]), sorted(m[1]), len(m[0]), sorted(m[0])))
     assert answer_sets_from_pairs(models) \
         == oracles.stable_models(p.rules, sigma)
     assert_indexed(models)
