@@ -32,8 +32,6 @@ def as_dual(q: str, rules: Iterable[Rule]) -> FrozenSet[Blocker]:
     for r in rules:
         ns = (r.pbody | r.nnbody) - qs
         nns = (r.nbody | r.head) - qs
-        if not ns and not nns:
-            return frozenset()
         blockers = ({(n | {a}, nn) for n, nn in blockers for a in ns}
                     | {(n, nn | {a}) for n, nn in blockers for a in nns})
     return frozenset(blockers)

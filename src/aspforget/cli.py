@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("left", help="program file or -")
     pair.add_argument("right", help="program file or -")
     as_json = argparse.ArgumentParser(add_help=False)
-    as_json.add_argument("--json", action="store_true")
+    as_json.add_argument("--json", action="store_true",
+                         help="print one line of JSON instead of text")
 
     def add(name, func, help_, *parents):
         sp = sub.add_parser(name, help=help_, description=help_,

@@ -4,13 +4,14 @@ Interpretations are int masks over ``sorted(sigma)``, atom i being bit i.
 An :class:`HTModelSet` stores, per classical model Y, one int whose bit X
 is set iff <X,Y> is an HT-model.  :func:`ht_models` computes those rows
 with whole-signature bit operations, one pass over the rules for the
-classical models and one AND per reduct rule for each row, so its cost
-follows the number of classical models rather than the 3^n pairs.  The
-exhaustive semantics still decide everything, and the module is meant as
-a trustworthy oracle at small signature sizes, not as a solver.  A guard
-rejects signatures above a configurable limit (default 12 atoms, override
-via the ``limit`` parameter or the ``ASPFORGET_SIGNATURE_LIMIT`` environment
-variable) so runaway enumerations fail fast with a clear error.
+classical models and one AND per reduct entry for each row, the n entries
+of the bound X ⊆ Y included, so its cost follows the number of classical
+models rather than the 3^n pairs.  The exhaustive semantics still decide
+everything, and the module is meant as a trustworthy oracle at small
+signature sizes, not as a solver.  A guard rejects signatures above a
+configurable limit (default 12 atoms, override via the ``limit``
+parameter or the ``ASPFORGET_SIGNATURE_LIMIT`` environment variable) so
+runaway enumerations fail fast with a clear error.
 """
 
 from __future__ import annotations
@@ -66,34 +67,28 @@ class HTInterpretation(NamedTuple):
     y: FrozenSet[str]
 
 
-# The worlds of atom i within one byte, for i < 3: bit m set iff m has bit i.
-_LOW_PATTERNS = (0xAA, 0xCC, 0xF0)
-
-
 class WorldMasks:
     """The world masks of one signature: atom i of ``sorted(sigma)`` is
     bit i, and world m is the set of atoms whose bits m has.
 
     ``with_[a]`` (``without[a]``) is a 2^n-bit int whose bit m is set iff
-    world m contains (lacks) ``a``.  They are built by repeating a byte
-    pattern, because building them by big-int arithmetic is quadratic.
+    world m contains (lacks) ``a``.  Atom i's period, 2^i clear bits then
+    2^i set bits, is doubled until it covers the 2^n worlds.
     """
 
     def __init__(self, sigma: FrozenSet[str]):
         atoms = sorted(sigma)
-        self.full = (1 << (1 << len(atoms))) - 1
-        nbytes = max(1, (1 << len(atoms)) >> 3)
+        size = 1 << len(atoms)
+        self.full = (1 << size) - 1
         self.bit: Dict[str, int] = {}
         self.with_: Dict[str, int] = {}
         self.without: Dict[str, int] = {}
         for i, a in enumerate(atoms):
-            if i < 3:
-                pattern = bytes([_LOW_PATTERNS[i]])
-            else:
-                half = 1 << (i - 3)
-                pattern = bytes(half) + b"\xff" * half
-            mask = int.from_bytes(pattern * (nbytes // len(pattern)),
-                                  "little") & self.full
+            half = 1 << i
+            mask, width = (1 << half) - 1 << half, 2 * half
+            while width < size:
+                mask |= mask << width
+                width <<= 1
             self.bit[a] = 1 << i
             self.with_[a] = mask
             self.without[a] = self.full ^ mask
@@ -208,7 +203,7 @@ def ht_models(p: Program, sigma: Optional[Iterable[str]] = None,
     that violate its reduct (positive body true, head false) and ``yv``
     those that violate it classically (``xv`` with the negative parts
     passing).  The classical models are the worlds in no ``yv``; the row
-    of one is its submasks outside the ``xv`` of each rule in its reduct.
+    of one is its submasks in the ``~xv`` of each rule in its reduct.
     """
     sig = frozenset(sigma) if sigma is not None else p.signature
     if not p.signature <= sig:
@@ -217,7 +212,7 @@ def ht_models(p: Program, sigma: Optional[Iterable[str]] = None,
     worlds = world_masks(sig)
     with_, without, encode = worlds.with_, worlds.without, worlds.encode
     classical = worlds.full
-    reducts = []
+    reducts = [(b, 0, without[a]) for a, b in worlds.bit.items()]
     for r in p.rules:
         xv = worlds.full
         for a in r.pbody:
@@ -231,13 +226,9 @@ def ht_models(p: Program, sigma: Optional[Iterable[str]] = None,
             yv &= without[a]
         classical &= ~yv
         reducts.append((encode(r.nbody), encode(r.nnbody), ~xv))
-    outside = [(worlds.bit[a], without[a]) for a in worlds.bit]
     rows = {}
     for y in _bits(classical):
         row = (2 << y) - 1
-        for b, out in outside:
-            if not y & b:
-                row &= out
         for nb, nnb, keep in reducts:
             if not nb & y and nnb & y == nnb:
                 row &= keep

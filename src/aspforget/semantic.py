@@ -162,9 +162,9 @@ def f_sem(p: Program, v: Iterable[str],
           limit: Optional[int] = None) -> Program:
     """Realize the target models directly, one rule per missing pair.
 
-    For a non-model <X,Y> whose total pair <Y,Y> is a model the rule
-    excludes exactly that pair; for a non-model <Y,Y> a constraint kills
-    the whole there-world.  No simplification is applied.
+    The rule of a non-model <X,Y> excludes exactly that pair when <Y,Y> is
+    a model; a there-world with no target model gets the rule of <Y,Y>
+    alone, a constraint.  No simplification is applied.
     """
     target = fsp_target_models(p, v, limit=limit)
     sigma2 = target.sigma
@@ -172,13 +172,10 @@ def f_sem(p: Program, v: Iterable[str],
     full = (1 << len(sigma2)) - 1
     rules = []
     for y in _submasks(full):
-        ys, rest = decode(y), decode(full & ~y)
+        rest = decode(full & ~y)
         row = target.rows.get(y)
-        if row is None:
-            rules.append(Rule(frozenset(), ys, rest, frozenset()))
-            continue
-        for x in _submasks(y):
-            if not row >> x & 1:
-                gap = decode(y & ~x)
-                rules.append(Rule(gap, decode(x), rest, gap))
+        for x in ((y,) if row is None else
+                  [x for x in _submasks(y) if not row >> x & 1]):
+            gap = decode(y & ~x)
+            rules.append(Rule(gap, decode(x), rest, gap))
     return Program(rules, signature=sigma2)

@@ -366,6 +366,16 @@ def test_verify_sp_corpus_json(capsys):
             "program"} <= set(reports[0])
 
 
+@pytest.mark.parametrize("command", ["normalize", "forget", "models",
+                                     "omega", "distance", "fsem", "verify-sp"])
+def test_json_option_has_help_text(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "-h"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert exit_.value.code == 0
+    assert "--json print one line of JSON instead of text" in out
+
+
 # ---------------------------------------------------------------------------
 # errors and exit codes
 

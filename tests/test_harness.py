@@ -217,6 +217,16 @@ def test_verify_sp_depth2_context_count(golden):
     assert report.ok and report.contexts_checked == 56648
 
 
+def test_verify_sp_depth2_over_a_corpus_prefix():
+    # the goldens and 500 generated programs, each widened by q
+    reports = [verify_sp(p.widen(["q"]), "q", depth=2)
+               for p in generate_corpus(CorpusSpec(seed=1, count=500))]
+    assert len(reports) == 513
+    assert sum(len(r.failures) for r in reports) == 0
+    assert sum(r.contexts_checked for r in reports) == 1537911
+    assert sum(r.omega for r in reports) == 1
+
+
 @pytest.mark.parametrize("depth", [-1, 3, 7])
 def test_verify_sp_rejects_other_depths(depth):
     with pytest.raises(ValueError, match="depth must be 0, 1 or 2"):

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from aspforget.core import Program, Rule
 from aspforget.ht_semantics import (DEFAULT_SIGNATURE_LIMIT,
-                                    SignatureLimitError, answer_sets,
-                                    answer_sets_from_pairs, equivalent,
-                                    ht_models, strongly_equivalent)
+                                    SignatureLimitError, WorldMasks,
+                                    answer_sets, answer_sets_from_pairs,
+                                    equivalent, ht_models,
+                                    strongly_equivalent)
 from aspforget.normalform import normal_form
 from aspforget.parser_io import parse_program
 from aspforget.semantic import fsp_target_models
@@ -20,6 +21,21 @@ from .conftest import programs as program_strategy
 
 def pairs(p, sigma=None):
     return {(m.x, m.y) for m in ht_models(p, sigma).members}
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_world_masks_match_their_definition(n):
+    # bit m of with_[a] is set iff world m has a's bit, from no atom to
+    # well past the nine atoms of the oracle tests
+    atoms = [f"x{i:02d}" for i in range(n)]
+    masks = WorldMasks(frozenset(atoms))
+    assert masks.full == (1 << (1 << n)) - 1
+    for i, a in enumerate(atoms):
+        bits = format(masks.with_[a], f"0{1 << n}b")[::-1]
+        assert bits == "".join("1" if m >> i & 1 else "0"
+                               for m in range(1 << n))
+        assert masks.without[a] == masks.full ^ masks.with_[a]
+        assert masks.bit[a] == 1 << i
 
 
 def test_ht_models_single_fact(prog):

@@ -1,5 +1,7 @@
 """Obstruction criterion, target model sets, counter-model construction."""
 
+import hashlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 from aspforget.core import Program
 from aspforget.distance import rule_size
 from aspforget.forget import forget, is_q_forgettable
+from aspforget.harness import CorpusSpec, generate_corpus
 from aspforget.ht_semantics import ht_models, strongly_equivalent
-from aspforget.parser_io import parse_program
+from aspforget.parser_io import format_program, parse_program
 from aspforget.semantic import f_sem, fsp_target_models, satisfies_omega
 
 from . import oracles
@@ -225,6 +228,18 @@ def test_fsem_rule_size_floor(golden):
 def test_fsem_mentions_no_forgotten_atom(golden):
     for p in golden.values():
         assert "q" not in f_sem(p, {"q"}).signature
+
+
+def test_fsem_output_is_frozen():
+    # one sha1 over the text of f_sem on the seed-1 corpus, each program
+    # widened by q, forgetting {q} and then {q, a}
+    corpus = generate_corpus(CorpusSpec(seed=1, count=2000))
+    digest = hashlib.sha1()
+    for p in corpus:
+        for v in ({"q"}, {"q", "a"}):
+            digest.update(format_program(f_sem(p.widen(["q"]), v)).encode())
+    assert len(corpus) == 2013
+    assert digest.hexdigest() == "cc322ad48310e4b62bdda12943dd6f4310246ef3"
 
 
 @given(program_strategy)
